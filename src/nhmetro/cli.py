@@ -78,8 +78,7 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
         for t in cfg.time_grid.times():
             try:
                 rec = qfi_record(cfg.model, theta, float(t), cfg.probe)
-                res = evolve(cfg.model, theta, float(t), cfg.probe)
-                f_fd = qfi_generator(fisher.generator_fd(cfg.model, theta, float(t)), res.phi_out)
+                f_fd = qfi_generator(fisher.generator_fd(cfg.model, theta, float(t)), rec.phi_out)
                 f_state = qfi_state_derivative(cfg.model, theta, float(t), cfg.probe)
                 f_closed = None
                 if cfg.model.family in ("pt", "kappa") and probe_is_ket0:
@@ -115,10 +114,14 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     partial = False
     try:
         for idx, (sweep_value, probe, t) in enumerate(points):
-            p0 = survival_probability(evolve(cfg.model, theta, t, probe), cfg.measurement)
+            p0 = None
             try:
+                p0 = survival_probability(evolve(cfg.model, theta, t, probe), cfg.measurement)
                 run = run_trials(cfg.model, theta, t, probe, cfg.measurement,
                                  spec.n, spec.trials, spec.seed, spec.bracket[idx])
+                if run.non_monotone_scan:
+                    log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
+                        "bracket; each estimate is the first root")
                 bias_pct = 100.0 * (run.mean - theta) / theta
                 writer.row([sweep_value, p0, run.precision, run.precision_err,
                             run.mean, bias_pct, run.failed_trials])
@@ -149,24 +152,30 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
     partial = False
     try:
         for sweep_value, probe, t in points:
-            res = evolve(cfg.model, theta, t, probe)
-            h = fisher.generator_quadrature(cfg.model, theta, t)
-            sqrt_f = math.sqrt(max(qfi_generator(h, res.phi_out), 0.0))
             try:
-                report = measure.optimality_residual(cfg.model, theta, t, probe, observable)
-                residual, c_real, c_imag = report.residual, report.c.real, report.c_imag_fraction
-            except ZeroG as exc:
+                res = evolve(cfg.model, theta, t, probe)
+                h = fisher.generator_quadrature(cfg.model, theta, t)
+                sqrt_f = math.sqrt(max(qfi_generator(h, res.phi_out), 0.0))
+                try:
+                    report = measure.optimality_residual(cfg.model, theta, t, probe, observable)
+                    residual, c_real, c_imag = (report.residual, report.c.real,
+                                                report.c_imag_fraction)
+                except ZeroG as exc:
+                    log(f"{sweep_name}={sweep_value}: {exc}")
+                    residual = c_real = c_imag = None
+                    partial = True
+                try:
+                    precision = measure.error_propagation_precision(
+                        cfg.model, theta, t, probe, observable)
+                except Degenerate:
+                    # Flagged, not dropped: the paper's own tables have blank
+                    # entries at probability extrema.
+                    precision = None
+                writer.row([sweep_value, residual, c_real, c_imag, precision, sqrt_f])
+            except NumericsError as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                residual = c_real = c_imag = None
+                writer.row([sweep_value, None, None, None, None, None])
                 partial = True
-            try:
-                precision = measure.error_propagation_precision(
-                    cfg.model, theta, t, probe, observable)
-            except Degenerate:
-                # Flagged, not dropped: the paper's own tables have blank
-                # entries at probability extrema.
-                precision = None
-            writer.row([sweep_value, residual, c_real, c_imag, precision, sqrt_f])
     finally:
         writer.close()
     return EXIT_PARTIAL if partial else EXIT_OK

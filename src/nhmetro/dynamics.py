@@ -75,8 +75,13 @@ def expectation(phi: np.ndarray, A: np.ndarray) -> float:
     return float(np.vdot(phi, A @ phi).real)
 
 
+def outcome_probability(phi: np.ndarray, A: np.ndarray) -> float:
+    """<phi|A|phi> clamped to [0, 1] for a projector A that already passed
+    `check_projector` (callers that evaluate many states validate A once)."""
+    p = expectation(phi, A)
+    return float(min(max(p, 0.0), 1.0))
+
+
 def survival_probability(res: EvolutionResult, A) -> float:
     """Probability of the outcome associated with the rank-1 projector A."""
-    A = check_projector(A)
-    p = expectation(res.phi_out, A)
-    return float(min(max(p, 0.0), 1.0))
+    return outcome_probability(res.phi_out, check_projector(A))

@@ -29,6 +29,11 @@ class NotProjector(NumericsError):
     pass
 
 
+class ImaginaryResidue(NumericsError):
+    """A quantity that is real in exact arithmetic kept an imaginary part
+    above tolerance (or a non-finite one)."""
+
+
 class OutOfRange(NumericsError):
     """Parameter outside the model family's admissible range."""
 

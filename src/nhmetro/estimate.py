@@ -12,10 +12,11 @@ PRNG: NumPy PCG64. Trial k of a run draws from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import evolve, survival_probability
+from .dynamics import check_projector, evolve, outcome_probability
 from .errors import AllTrialsFailed, NoRoot, NotBracketed
 from .models import HamiltonianModel
 
@@ -46,6 +47,9 @@ class EstimationRun:
     precision: float
     precision_err: float
     failed_trials: int
+    # p(theta) is not strictly monotone on the bracket's scan grid, so the
+    # inversion may have taken the first of several roots.
+    non_monotone_scan: bool
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -62,11 +66,43 @@ def sample_shots(p: float, n: int, rng: np.random.Generator) -> ShotRecord:
     return ShotRecord(n=n, x=x, p_hat=x / n)
 
 
+@dataclass(frozen=True)
+class BracketScan:
+    """p(theta) on the uniform scan grid of one bracket.
+
+    p(theta) does not depend on the shot count, so one scan serves every
+    inversion at a sweep point. `p[i]` is `p_of(grid[i])`.
+    """
+
+    grid: np.ndarray
+    p: list
+    p_of: Callable[[float], float]
+
+    @property
+    def monotone(self) -> bool:
+        """True when p strictly increases or strictly decreases on the grid."""
+        steps = np.diff(self.p)
+        return bool((steps > 0).all() or (steps < 0).all())
+
+
 def _probability_fn(model, t, psi0, A):
+    """p(theta); A must already have passed `check_projector`."""
     def p_of(theta):
-        return survival_probability(evolve(model, theta, t, psi0), A)
+        return outcome_probability(evolve(model, theta, t, psi0).phi_out, A)
 
     return p_of
+
+
+def _bounds(bracket) -> tuple[float, float]:
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise NotBracketed(f"empty bracket ({lo}, {hi})")
+    return lo, hi
+
+
+def _scan(p_of, lo: float, hi: float, scan_points: int) -> BracketScan:
+    grid = np.linspace(lo, hi, scan_points)
+    return BracketScan(grid=grid, p=[p_of(th) for th in grid], p_of=p_of)
 
 
 def _polish_root(f, a, b, fa, fb):
@@ -89,22 +125,26 @@ def _polish_root(f, a, b, fa, fb):
 
 
 def mle_invert(model: HamiltonianModel, t: float, psi0, A, shot: ShotRecord,
-               bracket, scan_points: int = SCAN_POINTS) -> float:
+               bracket, scan_points: int = SCAN_POINTS,
+               scan: BracketScan | None = None) -> float:
     """Solve p(theta) = x/n for theta inside the bracket.
 
     The bracket is scanned on a uniform grid for a sign change of
     p(theta) - x/n; the enclosing interval is then polished to 1e-12. All
     roots inside the bracket tie in likelihood (the likelihood depends on
     theta only through p), so the first one is returned.
+
+    `scan` is the bracket's precomputed scan (as `run_trials` builds it for
+    the same model, t, psi0, validated A and bracket); without it the scan
+    is evaluated here. Either way the result is the same to the bit.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise NotBracketed(f"empty bracket ({lo}, {hi})")
-    p_of = _probability_fn(model, t, psi0, A)
+    lo, hi = _bounds(bracket)
+    if scan is None:
+        scan = _scan(_probability_fn(model, t, psi0, check_projector(A)), lo, hi, scan_points)
+    grid, p_of = scan.grid, scan.p_of
     target = shot.p_hat
-    grid = np.linspace(lo, hi, scan_points)
-    vals = [p_of(th) - target for th in grid]
-    for i in range(scan_points - 1):
+    vals = [p - target for p in scan.p]
+    for i in range(len(grid) - 1):
         if abs(vals[i]) < ROOT_FTOL:
             return float(grid[i])
         if (vals[i] < 0) != (vals[i + 1] < 0):
@@ -121,12 +161,16 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
 
     Failed inversions (NoRoot) are counted and excluded from the statistics,
     never silently dropped. The estimator for a given shot count x is
-    deterministic, so inversions are memoized on x.
+    deterministic, so inversions are memoized on x. The projector is
+    validated and the bracket scanned once per call; every inversion reuses
+    that scan, which gives the same estimates as scanning per inversion.
     """
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
-    p = survival_probability(evolve(model, theta_true, t, psi0), A)
+    p_of = _probability_fn(model, t, psi0, check_projector(A))
+    p = p_of(theta_true)
     shots = [sample_shots(p, n, trial_rng(seed, k)) for k in range(trials)]
+    scan = _scan(p_of, *_bounds(bracket), SCAN_POINTS)
 
     cache: dict[int, float | None] = {}
     estimates = []
@@ -134,7 +178,7 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
     for shot in shots:
         if shot.x not in cache:
             try:
-                cache[shot.x] = mle_invert(model, t, psi0, A, shot, bracket)
+                cache[shot.x] = mle_invert(model, t, psi0, A, shot, bracket, scan=scan)
             except NoRoot:
                 cache[shot.x] = None
         est = cache[shot.x]
@@ -159,4 +203,5 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
         precision=precision,
         precision_err=precision / spread,
         failed_trials=failed,
+        non_monotone_scan=not scan.monotone,
     )

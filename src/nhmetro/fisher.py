@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import check_normalized, evolve
-from .errors import UnsupportedFamily, UnsupportedProbe, ZeroScalar
+from .errors import ImaginaryResidue, UnsupportedFamily, UnsupportedProbe, ZeroScalar
 from .models import HamiltonianModel, d_hamiltonian, hamiltonian
 
 DEFAULT_QUAD_ORDER = 64
@@ -83,7 +83,8 @@ def qfi_generator(h, phi) -> float:
     hphi = h @ phi
     mean = np.vdot(phi, hphi)
     value = 4 * (np.vdot(hphi, hphi) - mean.conjugate() * mean)
-    assert abs(value.imag) < IMAG_RESIDUE_TOL, f"QFI imaginary residue {value.imag:.3e}"
+    if not abs(value.imag) < IMAG_RESIDUE_TOL:
+        raise ImaginaryResidue(f"QFI imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -151,12 +152,13 @@ def qfi_closed_form(model: HamiltonianModel, theta: float, t: float, psi0=None) 
 
 @dataclass(frozen=True)
 class QFIRecord:
-    """QFI bundle at one (theta, t) point: generator, F, K, I = K F, and the
-    generator's eigenvalue gap."""
+    """QFI bundle at one (theta, t) point: generator, F, K, I = K F, the
+    generator's eigenvalue gap, and the normalized output state F is taken on."""
 
     theta: float
     t: float
     h: np.ndarray
+    phi_out: np.ndarray
     F: float
     K: float
     I: float
@@ -169,7 +171,8 @@ def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0,
     h = generator_quadrature(model, theta, t, quad_order)
     F = qfi_generator(h, res.phi_out)
     gap = linalg.eig_decompose(h).gap
-    return QFIRecord(theta=theta, t=t, h=h, F=F, K=res.K, I=res.K * F, gap=gap)
+    return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,
+                     I=res.K * F, gap=gap)
 
 
 def scaled_info(rec: QFIRecord) -> float:

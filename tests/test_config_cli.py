@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from nhmetro import cli, fisher
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
-from nhmetro.errors import ConfigError
+from nhmetro.errors import ConfigError, NotNormalized
 
 from conftest import SQRT_F_S
 
@@ -116,6 +117,17 @@ class TestCliQfi:
         main(["qfi", "--config", cfg, "--out", str(out2), "--quiet"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_one_evolution_per_row(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (cli, fisher):
+            real = module.evolve
+            monkeypatch.setattr(module, "evolve",
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        out = tmp_path / "qfi.csv"
+        assert main(["qfi", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), "--quiet"]) == 0
+        assert len(calls) == 10
+
 
 class TestCliEstimate:
     def test_smoke_two_trials(self, tmp_path):
@@ -170,7 +182,73 @@ class TestCliEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
+    def test_failed_p0_is_a_failed_row(self, tmp_path, monkeypatch):
+        real = cli.survival_probability
+
+        def failing_at_second_point(res, A):
+            failing_at_second_point.calls += 1
+            if failing_at_second_point.calls == 2:
+                raise NotNormalized("injected")
+            return real(res, A)
+
+        failing_at_second_point.calls = 0
+        monkeypatch.setattr(cli, "survival_probability", failing_at_second_point)
+        doc = base_config(
+            time_grid={"start": math.pi / 4, "stop": math.pi / 2, "steps": 2},
+            estimation={"n": 200, "trials": 2, "seed": 7, "bracket": [0.6, 1.4]})
+        out = tmp_path / "est.csv"
+        code = main(["estimate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
+        assert len(rows) == 2
+        assert rows[0][1] != "nan" and rows[0][-1] == "0"
+        assert rows[1][1:] == ["nan"] * 5 + ["2"]
+
+    def test_non_monotone_bracket_is_logged(self, tmp_path, capsys):
+        # p(s) at t = pi/2 has its minimum inside the bracket (at s = 2.121)
+        doc = base_config(
+            model={"family": "pt", "params": {"s": 1.8, "alpha": math.pi / 4},
+                   "estimated_param": "s"},
+            time_grid={"start": math.pi / 2, "stop": math.pi / 2, "steps": 1},
+            estimation={"n": 2000, "trials": 3, "seed": 3, "bracket": [1.5, 2.6]})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "nm.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert "not monotone on the bracket" in capsys.readouterr().err
+        doc["estimation"]["bracket"] = [1.5, 2.0]
+        assert main(["estimate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert "not monotone" not in capsys.readouterr().err
+
+
 class TestCliOptimalAndDilate:
+    def test_failed_generator_is_a_failed_row(self, tmp_path, monkeypatch):
+        real = fisher.generator_quadrature
+
+        def failing_at_third_point(*args):
+            failing_at_third_point.calls += 1
+            if failing_at_third_point.calls == 3:
+                raise NotNormalized("injected")
+            return real(*args)
+
+        failing_at_third_point.calls = 0
+        monkeypatch.setattr(fisher, "generator_quadrature", failing_at_third_point)
+        doc = base_config(
+            model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
+                   "estimated_param": "alpha"},
+            time_grid={"start": math.pi / (2 * math.cos(math.pi / 10)),
+                       "stop": math.pi / (2 * math.cos(math.pi / 10)), "steps": 1},
+            probe_sweep={"start": "0deg", "stop": "45deg", "steps": 6})
+        out = tmp_path / "opt.csv"
+        code = main(["optimal", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"])
+        assert code == 3
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
+        assert [row[0] for row in rows] == ["0", "9", "18", "27", "36", "45"]
+        assert rows[2][1:] == ["nan"] * 5
+        assert all("nan" not in row[5] for i, row in enumerate(rows) if i != 2)
+
     def test_optimal_probe_sweep(self, tmp_path):
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},

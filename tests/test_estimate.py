@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nhmetro import linalg, pt_model, kappa_model
+from nhmetro import estimate, linalg, pt_model, kappa_model
 from nhmetro.dynamics import evolve, survival_probability
 from nhmetro.errors import AllTrialsFailed, NoRoot, NotBracketed
-from nhmetro.estimate import (ShotRecord, mle_invert, run_trials, sample_shots,
-                              trial_rng)
+from nhmetro.estimate import (SCAN_POINTS, ShotRecord, mle_invert, run_trials,
+                              sample_shots, trial_rng)
 
 from conftest import BRACKETS, MLE_SEED
 
@@ -54,8 +54,11 @@ class TestMleInvert:
 
     def test_empty_bracket(self, ket0, proj0):
         shot = ShotRecord(n=10, x=5, p_hat=0.5)
+        m = pt_model(1.0, math.pi / 4, "s")
         with pytest.raises(NotBracketed):
-            mle_invert(pt_model(1.0, math.pi / 4, "s"), 1.0, ket0, proj0, shot, (1.2, 0.8))
+            mle_invert(m, 1.0, ket0, proj0, shot, (1.2, 0.8))
+        with pytest.raises(NotBracketed):
+            run_trials(m, 1.0, 1.0, ket0, proj0, 10, 2, 0, (1.2, 0.8))
 
 
 class TestRunTrials:
@@ -103,3 +106,76 @@ class TestRunTrials:
         # bracket far from the truth: p never reaches the sampled frequencies
         with pytest.raises(AllTrialsFailed):
             run_trials(m, 1.0, math.pi, ket0, proj0, 2000, 5, 3, (2.9, 3.0))
+
+
+def unscanned_trials(model, theta_true, t, psi0, A, n, trials, seed, bracket):
+    """Estimates and failure count from one scanning `mle_invert` per shot."""
+    p = survival_probability(evolve(model, theta_true, t, psi0), A)
+    estimates, failed = [], 0
+    for k in range(trials):
+        try:
+            estimates.append(mle_invert(model, t, psi0, A,
+                                        sample_shots(p, n, trial_rng(seed, k)), bracket))
+        except NoRoot:
+            failed += 1
+    return np.array(estimates), failed
+
+
+class TestSharedScan:
+    """`run_trials` scans each bracket once; the estimates must not notice."""
+
+    PT_S = pt_model(1.0, math.pi / 4, "s")
+
+    def test_estimates_match_unscanned_inversions(self, ket0, proj0):
+        args = (self.PT_S, 1.0, 10 * math.pi / 8, ket0, proj0, 2000, 150, MLE_SEED,
+                BRACKETS["pt-s"][9])
+        run = run_trials(*args)
+        estimates, failed = unscanned_trials(*args)
+        assert np.array_equal(run.estimates, estimates)
+        assert run.failed_trials == failed == 0
+        assert not run.non_monotone_scan
+
+    def test_failed_trials_match_unscanned_inversions(self, ket0, proj0):
+        # the bracket covers only about +-0.6 sigma of the shot frequency,
+        # so many shot counts have no root inside it
+        args = (self.PT_S, 1.0, math.pi / 4, ket0, proj0, 2000, 120, 5, (0.98, 1.02))
+        run = run_trials(*args)
+        estimates, failed = unscanned_trials(*args)
+        assert 0 < run.failed_trials < 120
+        assert run.failed_trials == failed
+        assert np.array_equal(run.estimates, estimates)
+
+    def test_evolve_calls_per_run(self, ket0, proj0, monkeypatch):
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args[1])
+            return evolve(*args)
+
+        monkeypatch.setattr(estimate, "evolve", counting_evolve)
+        t, n, trials = 10 * math.pi / 8, 2000, 1000
+        run = run_trials(self.PT_S, 1.0, t, ket0, proj0, n, trials, MLE_SEED,
+                         BRACKETS["pt-s"][9])
+        p = survival_probability(evolve(self.PT_S, 1.0, t, ket0), proj0)
+        distinct = {sample_shots(p, n, trial_rng(MLE_SEED, k)).x for k in range(trials)}
+        assert run.failed_trials == 0
+        # one p(theta_true), one scan, then only the polish of each distinct x
+        assert SCAN_POINTS + 1 + len(distinct) <= len(calls)
+        assert len(calls) <= SCAN_POINTS + 1 + 12 * len(distinct)
+
+    def test_non_monotone_bracket_is_flagged(self, ket0, proj0):
+        # at t = pi/2, p(s) falls to 0 at s = 2.121 and climbs back to 0.80 at
+        # s = 2.6: every shot frequency near p(1.8) = 0.129 has a root on each side
+        args = (self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 60, 3, (1.5, 2.6))
+        run = run_trials(*args)
+        assert run.non_monotone_scan
+        estimates, failed = unscanned_trials(*args)
+        assert np.array_equal(run.estimates, estimates)
+        assert run.failed_trials == failed
+        # the first root is the one left of the minimum, next to the truth
+        assert np.all(run.estimates < 2.121)
+        assert abs(run.mean - 1.8) < 0.01
+
+    def test_monotone_part_is_not_flagged(self, ket0, proj0):
+        run = run_trials(self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 10, 3, (1.5, 2.0))
+        assert not run.non_monotone_scan

@@ -5,7 +5,8 @@ import pytest
 
 from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.dynamics import evolve
-from nhmetro.errors import NotNormalized, UnsupportedFamily, UnsupportedProbe, ZeroScalar
+from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized,
+                            UnsupportedFamily, UnsupportedProbe, ZeroScalar)
 from nhmetro.fisher import (gauge_invariance_check, generator_fd, generator_quadrature,
                             qfi_closed_form, qfi_generator, qfi_record,
                             qfi_state_derivative, scaled_info)
@@ -98,6 +99,19 @@ class TestQfiGenerator:
     def test_requires_normalized_state(self):
         with pytest.raises(NotNormalized):
             qfi_generator(linalg.SIGMA_X, np.array([1.0, 1.0]))
+
+    def test_imaginary_residue_is_a_typed_error(self):
+        # Both terms of 4(<h^dag h> - |<h>|^2) are real for any finite h, so
+        # the residue shows once the non-Hermitian h is large enough for the
+        # products to overflow (inf - inf leaves a nan imaginary part).
+        # A typed error, not an assert, so `python -O` keeps the check.
+        phi = np.array([1.0, 1.0j]) / math.sqrt(2)
+        h = np.array([[1e160, 3e160j], [-2e160, 1e160j]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ImaginaryResidue, match="imaginary residue"):
+            qfi_generator(h, phi)
+        assert issubclass(ImaginaryResidue, NumericsError)
+        assert qfi_generator(h * 1e-150, phi) > 0
 
     def test_hermitian_reduction(self):
         # for a Hermitian generator Eq-(1) style QFI is the plain 4 Var(h)
