@@ -78,18 +78,23 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
         for t in cfg.time_grid.times():
             try:
                 rec = qfi_record(cfg.model, theta, float(t), cfg.probe)
-                f_fd = qfi_generator(fisher.generator_fd(cfg.model, theta, float(t)), rec.phi_out)
-                f_state = qfi_state_derivative(cfg.model, theta, float(t), cfg.probe)
-                f_closed = None
-                if cfg.model.family in ("pt", "kappa") and probe_is_ket0:
-                    f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
-                deviation = _route_deviation([rec.F, f_fd, f_state, f_closed])
-                writer.row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
-                            math.sqrt(max(rec.I, 0.0)), rec.gap, f_closed, deviation])
             except NumericsError as exc:
                 log(f"t={t}: {exc}")
                 writer.row([t, None, None, None, None, None, None, None, None])
                 partial = True
+                continue
+            # Cross-checks: a failure blanks route_deviation, not the row.
+            f_closed = deviation = None
+            try:
+                if cfg.model.family in ("pt", "kappa") and probe_is_ket0:
+                    f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
+                f_fd = qfi_generator(fisher.generator_fd(cfg.model, theta, float(t)), rec.phi_out)
+                f_state = qfi_state_derivative(cfg.model, theta, float(t), cfg.probe)
+                deviation = _route_deviation([rec.F, f_fd, f_state, f_closed])
+            except NumericsError as exc:
+                log(f"t={t}: cross-check {exc}")
+            writer.row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
+                        math.sqrt(max(rec.I, 0.0)), rec.gap, f_closed, deviation])
     finally:
         writer.close()
     return EXIT_PARTIAL if partial else EXIT_OK
@@ -154,7 +159,7 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         for sweep_value, probe, t in points:
             try:
                 res = evolve(cfg.model, theta, t, probe)
-                h = fisher.generator_quadrature(cfg.model, theta, t)
+                h = fisher.generator_closed_form(cfg.model, theta, t)
                 sqrt_f = math.sqrt(max(qfi_generator(h, res.phi_out), 0.0))
                 try:
                     report = measure.optimality_residual(cfg.model, theta, t, probe, observable)

@@ -34,6 +34,10 @@ class ImaginaryResidue(NumericsError):
     above tolerance (or a non-finite one)."""
 
 
+class Unconverged(NumericsError):
+    """An iterative method reached its cap without meeting its tolerance."""
+
+
 class OutOfRange(NumericsError):
     """Parameter outside the model family's admissible range."""
 

@@ -1,13 +1,15 @@
 """Quantum Fisher information for non-unitary dynamics.
 
-The local generator h = i (dU/dtheta) U^-1 is computed by two independent
-routes (a time-ordered quadrature and a finite difference of the evolution
-operator), the QFI by three (generalized variance of h, derivative of the
-normalized state, and closed forms for the catalog families).
+The local generator h = i (dU/dtheta) U^-1 has an exact 2x2 closed form,
+which is the production route; a time-ordered quadrature and a finite
+difference of the evolution operator stay as independent cross-checks. The
+QFI is computed by three routes (generalized variance of h, derivative of
+the normalized state, and closed forms for the catalog families).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,13 +17,19 @@ import numpy as np
 
 from . import linalg
 from .dynamics import check_normalized, evolve
-from .errors import ImaginaryResidue, UnsupportedFamily, UnsupportedProbe, ZeroScalar
+from .errors import (ImaginaryResidue, Unconverged, UnsupportedFamily, UnsupportedProbe,
+                     ZeroScalar)
 from .models import HamiltonianModel, d_hamiltonian, hamiltonian
 
 DEFAULT_QUAD_ORDER = 64
 QUAD_CONVERGENCE_TOL = 1e-10
 MAX_QUAD_ORDER = 1024
 IMAG_RESIDUE_TOL = 1e-10
+# Below this |x|, (x - sin x)/x^3 is summed from its Taylor series: x - sin x
+# cancels to ~6 eps/x^2 relative, which is under 2e-16 from |x| = 2 on. At
+# |x| = 2 the first dropped term is 2^22/25! < 3e-19.
+SERIES_THRESHOLD = 2.0
+_SERIES_COEFFS = tuple(1.0 / math.factorial(2 * k + 3) for k in range(11))
 
 
 def _fd_step(theta: float, step) -> float:
@@ -32,12 +40,50 @@ def _fd_step(theta: float, step) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
+def _x_minus_sin_over_x3(x: complex) -> complex:
+    """(x - sin x)/x^3, an entire function of x^2 (1/6 at x = 0)."""
+    if abs(x) < SERIES_THRESHOLD:
+        x2 = x * x
+        acc = 0.0
+        for coeff in reversed(_SERIES_COEFFS):  # sum_k (-x^2)^k / (2k+3)!
+            acc = coeff - x2 * acc
+        return acc
+    return (x - cmath.sin(x)) / x ** 3
+
+
+def _sinc(x: complex) -> complex:
+    return cmath.sin(x) / x if x != 0 else 1.0
+
+
+def generator_closed_form(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
+    """h as the exact integral of exp(-i mu H) dH exp(i mu H) over mu in [0, t].
+
+    With H = cI + B, B traceless and B^2 = w^2 I, the integrand is
+    C^2 dH + i C S [dH, B] + S^2 B dH B with C = cos(w mu), S = sin(w mu)/w,
+    so h = a dH + i b [dH, B] + d B dH B with a = (t/2)(1 + sinc 2wt),
+    b = (t^2/2) sinc^2(wt) and d = 2t^3 (x - sin x)/x^3 at x = 2wt. All three
+    are entire in w^2: the EP (w = 0, nilpotent B) and the broken regime
+    (imaginary w) need no special case.
+    """
+    H = hamiltonian(model, theta)
+    dH = d_hamiltonian(model, theta)
+    B = H - 0.5 * (H[0, 0] + H[1, 1]) * np.eye(2)
+    w = cmath.sqrt(B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0])
+    a = 0.5 * t * (1.0 + _sinc(2 * w * t))
+    b = 0.5 * t * t * _sinc(w * t) ** 2
+    d = 2 * t ** 3 * _x_minus_sin_over_x3(2 * w * t)
+    dHB, BdH = dH @ B, B @ dH
+    return a * dH + 1j * b * (dHB - BdH) + d * (B @ dHB)
+
+
 def generator_quadrature(model: HamiltonianModel, theta: float, t: float,
                          quad_order: int = DEFAULT_QUAD_ORDER, adaptive: bool = True) -> np.ndarray:
     """h as the integral of exp(-i mu H) dH exp(i mu H) over mu in [0, t].
 
     Gauss-Legendre on [0, t]; with adaptive=True the node count doubles until
-    two successive results agree to 1e-10 (capped at 1024 nodes).
+    two successive results h_n, h_2n satisfy ||h_2n - h_n|| < 1e-10 max(1, ||h_2n||),
+    and raises Unconverged if that fails at 1024 nodes. An independent
+    cross-check of generator_closed_form.
     """
     if quad_order < 2:
         raise ValueError(f"quad_order must be >= 2, got {quad_order}")
@@ -56,14 +102,17 @@ def generator_quadrature(model: HamiltonianModel, theta: float, t: float,
         return acc
 
     h = integral(quad_order)
+    if not adaptive:
+        return h
     order = quad_order
-    while adaptive and order < MAX_QUAD_ORDER:
+    while order < MAX_QUAD_ORDER:
         order *= 2
         h_next = integral(order)
-        if np.linalg.norm(h_next - h) < QUAD_CONVERGENCE_TOL:
+        if np.linalg.norm(h_next - h) < QUAD_CONVERGENCE_TOL * max(1.0, np.linalg.norm(h_next)):
             return h_next
         h = h_next
-    return h
+    raise Unconverged(f"generator quadrature not converged at {MAX_QUAD_ORDER} nodes "
+                      f"(theta = {theta}, t = {t})")
 
 
 def generator_fd(model: HamiltonianModel, theta: float, t: float, step=None) -> np.ndarray:
@@ -165,10 +214,9 @@ class QFIRecord:
     gap: float
 
 
-def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0,
-               quad_order: int = DEFAULT_QUAD_ORDER) -> QFIRecord:
+def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIRecord:
     res = evolve(model, theta, t, psi0)
-    h = generator_quadrature(model, theta, t, quad_order)
+    h = generator_closed_form(model, theta, t)
     F = qfi_generator(h, res.phi_out)
     gap = linalg.eig_decompose(h).gap
     return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,

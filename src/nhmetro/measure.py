@@ -14,7 +14,9 @@ import numpy as np
 from . import linalg
 from .dynamics import evolve, expectation
 from .errors import Degenerate, NotHermitian, ZeroG
-from .fisher import _fd_step, generator_quadrature
+from .fisher import _fd_step, generator_closed_form
+# Unused here; perfbench/tests/test_tracer.py checks the tracer rebinds this import site.
+from .fisher import generator_quadrature  # noqa: F401
 from .models import HamiltonianModel
 
 HERMITICITY_TOL = 1e-10
@@ -72,7 +74,7 @@ def optimality_residual(model: HamiltonianModel, theta: float, t: float,
     """Least-squares fit of |f> = i c |g> on the normalized output state."""
     res = evolve(model, theta, t, psi0)
     phi = res.phi_out
-    h = generator_quadrature(model, theta, t)
+    h = generator_closed_form(model, theta, t)
     f = h @ phi - np.vdot(phi, h @ phi) * phi
     g = A.A @ phi - expectation(phi, A.A) * phi
     g_norm2 = float(np.vdot(g, g).real)

@@ -19,8 +19,8 @@ from nhmetro.dilation import build_dilation, evolve_dilated, solve_eta
 from nhmetro.dynamics import evolve, survival_probability
 from nhmetro.errors import Degenerate
 from nhmetro.estimate import run_trials
-from nhmetro.fisher import (gauge_invariance_check, generator_fd,
-                            generator_quadrature, qfi_closed_form,
+from nhmetro.fisher import (gauge_invariance_check, generator_closed_form,
+                            generator_fd, generator_quadrature, qfi_closed_form,
                             qfi_generator, qfi_state_derivative)
 from nhmetro.measure import Observable, error_propagation_precision
 from nhmetro.models import hamiltonian
@@ -64,7 +64,7 @@ def test_survival_probability_reference_tables():
 
 
 def test_qfi_route_agreement():
-    # four independent QFI routes, 1e-5 relative, 30 random points per model
+    # five independent QFI routes, 1e-5 relative, 30 random points per model
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     for model, theta in [(PT_S, 1.0), (PT_ALPHA, math.pi / 4),
@@ -73,6 +73,7 @@ def test_qfi_route_agreement():
             t = float(rng.uniform(0.05, 4.0))
             phi = evolve(model, theta, t, KET0).phi_out
             values = [
+                qfi_generator(generator_closed_form(model, theta, t), phi),
                 qfi_generator(generator_quadrature(model, theta, t), phi),
                 qfi_generator(generator_fd(model, theta, t), phi),
                 qfi_state_derivative(model, theta, t, KET0),

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from nhmetro import cli, fisher
+from nhmetro import cli, ep_demo_model, fisher, linalg
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
+from nhmetro.dynamics import evolve
 from nhmetro.errors import ConfigError, NotNormalized
+from nhmetro.fisher import qfi_generator
 
 from conftest import SQRT_F_S
 
@@ -128,6 +130,30 @@ class TestCliQfi:
                      "--out", str(out), "--quiet"]) == 0
         assert len(calls) == 10
 
+    def test_failed_cross_check_keeps_the_row(self, tmp_path, capsys):
+        # 5.2e-6 below the EP at pi/4: the finite-difference routes step past
+        # it and raise OutOfRange, while the production F is valid
+        alpha = 0.785393
+        doc = base_config(
+            model={"family": "ep_demo", "params": {"alpha": alpha}, "estimated_param": "alpha"},
+            time_grid={"start": 1.0, "stop": 10.0, "steps": 4})
+        out = tmp_path / "ep.csv"
+        assert main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("cross-check") == 4 and "exit 3" not in err
+        lines = out.read_text().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+        assert len(rows) == 4
+        model = ep_demo_model(alpha)
+        for row in rows:
+            assert row["route_deviation"] == "nan" and row["F_closed_form"] == "nan"
+            assert all(row[col] != "nan" for col in ("F", "sqrtF", "K", "I", "sqrtI", "gap"))
+            t = float(row["t"])
+            f_quad = qfi_generator(fisher.generator_quadrature(model, alpha, t),
+                                   evolve(model, alpha, t, linalg.basis_state(0)).phi_out)
+            assert abs(float(row["F"]) - f_quad) <= 1e-9 * f_quad
+
 
 class TestCliEstimate:
     def test_smoke_two_trials(self, tmp_path):
@@ -224,7 +250,7 @@ class TestCliEstimate:
 
 class TestCliOptimalAndDilate:
     def test_failed_generator_is_a_failed_row(self, tmp_path, monkeypatch):
-        real = fisher.generator_quadrature
+        real = fisher.generator_closed_form
 
         def failing_at_third_point(*args):
             failing_at_third_point.calls += 1
@@ -233,7 +259,7 @@ class TestCliOptimalAndDilate:
             return real(*args)
 
         failing_at_third_point.calls = 0
-        monkeypatch.setattr(fisher, "generator_quadrature", failing_at_third_point)
+        monkeypatch.setattr(fisher, "generator_closed_form", failing_at_third_point)
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
                    "estimated_param": "alpha"},

@@ -1,15 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, custom_model
+from nhmetro import fisher, linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.dynamics import evolve
-from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized,
+from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized, Unconverged,
                             UnsupportedFamily, UnsupportedProbe, ZeroScalar)
-from nhmetro.fisher import (gauge_invariance_check, generator_fd, generator_quadrature,
-                            qfi_closed_form, qfi_generator, qfi_record,
-                            qfi_state_derivative, scaled_info)
+from nhmetro.fisher import (gauge_invariance_check, generator_closed_form, generator_fd,
+                            generator_quadrature, qfi_closed_form, qfi_generator,
+                            qfi_record, qfi_state_derivative, scaled_info)
 from nhmetro.models import d_hamiltonian
 
 from conftest import SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S
@@ -66,6 +67,86 @@ class TestGeneratorQuadrature:
             t = rng.uniform(0.05, 8.0)
             h = generator_quadrature(pt_model(s, alpha, "alpha"), alpha, t)
             assert np.abs(h - h_alpha_closed_form(s, alpha, t)).max() < 1e-8
+
+    def test_relative_convergence_test(self, monkeypatch):
+        # |h| = 3.4e4 next to the EP: successive orders agree to ~1e-14
+        # relative from 64 nodes on, which an absolute 1e-10 test never sees
+        calls = []
+        real = linalg.mat_exp
+        monkeypatch.setattr(linalg, "mat_exp", lambda a: calls.append(1) or real(a))
+        m = ep_demo_model(0.7845)
+        h = generator_quadrature(m, 0.7845, 40.0)
+        assert len(calls) == 2 * (64 + 128)
+        assert np.linalg.norm(h) > 3e4
+        assert np.linalg.norm(h - generator_closed_form(m, 0.7845, 40.0)) \
+            <= 1e-12 * np.linalg.norm(h)
+
+    def test_cap_raises_unconverged(self, monkeypatch):
+        # omega t = 2000 rad: 64 and 128 Gauss-Legendre nodes cannot resolve it
+        monkeypatch.setattr(fisher, "MAX_QUAD_ORDER", 128)
+        with pytest.raises(Unconverged, match="not converged at 128 nodes"):
+            generator_quadrature(kappa_model(400.0), 400.0, 100.0)
+        assert issubclass(Unconverged, NumericsError)
+        # a fixed order makes no convergence claim
+        generator_quadrature(kappa_model(400.0), 400.0, 100.0, adaptive=False)
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def generator_points():
+    """Seeded (model, theta, t) points over every family and regime."""
+    rng = np.random.default_rng(606)
+    points = []
+    for t in (0.0, 1e-6):
+        points.append((pt_model(1.0, math.pi / 4, "s"), 1.0, t))
+    for _ in range(4):
+        s, alpha = rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.4)
+        kappa, a_ep = rng.uniform(0.2, 4.0), rng.uniform(0.05, 0.75)
+        t = rng.uniform(0.05, 20.0)
+        points += [(pt_model(s, alpha, "s"), s, t), (pt_model(s, alpha, "alpha"), alpha, t),
+                   (kappa_model(kappa), kappa, t), (ep_demo_model(a_ep), a_ep, t)]
+    for _ in range(4):  # next to the EP at pi/4, late times
+        alpha = rng.uniform(0.784, 0.785)
+        points.append((ep_demo_model(alpha), alpha, rng.uniform(30.0, 50.0)))
+    # custom: nilpotent B (omega = 0, the EP itself) and broken regime (imaginary omega)
+    nilpotent = custom_model(lambda th: th * NILPOTENT + 0.3 * np.eye(2),
+                             lambda th: np.array([[0.2, 1j], [0.5, -0.2]]))
+    broken = custom_model(lambda g: np.array([[1j * g, 1.0], [1.0, -1j * g]]),
+                          lambda g: np.array([[1j, 0.0], [0.0, -1j]]))
+    for t in (1e-6, 1.0, 7.0):
+        points += [(nilpotent, 1.3, t), (broken, 1.5, t)]
+    return points
+
+
+class TestGeneratorClosedForm:
+    def test_agrees_with_quadrature(self):
+        for m, th, t in generator_points():
+            quad = generator_quadrature(m, th, t)
+            h = generator_closed_form(m, th, t)
+            assert np.linalg.norm(h - quad) <= 1e-12 * np.linalg.norm(quad), (m.family, th, t)
+
+    def test_nilpotent_is_a_polynomial_in_t(self):
+        # B^2 = 0: h = t dH + i (t^2/2) [dH, N] + (t^3/3) N dH N exactly
+        dH, N = np.array([[0.2, 1j], [0.5, -0.2]]), NILPOTENT
+        m = custom_model(lambda th: th * N - 0.7j * np.eye(2), lambda th: dH)
+        for t in (0.0, 0.1, 3.0, 40.0):
+            exact = t * dH + 0.5j * t * t * (dH @ N - N @ dH) + t ** 3 / 3 * (N @ dH @ N)
+            h = generator_closed_form(m, 1.0, t)
+            assert np.linalg.norm(h - exact) <= 4e-16 * max(np.linalg.norm(exact), 1e-300)
+
+    def test_series_matches_mpmath(self):
+        # 40-digit reference on both sides of the series threshold, real and complex x
+        threshold = fisher.SERIES_THRESHOLD
+        xs = [1e-8, 0.3, 1.0, threshold * (1 - 1e-9), threshold, threshold * (1 + 1e-9),
+              3.0, 10.0, 0.5j, 1.9j, 2.1j, 1.2 + 0.9j, 1.5 + 1.5j, 40.0 + 0.1j]
+        assert fisher._x_minus_sin_over_x3(0.0) == 1 / 6
+        with mpmath.workdps(40):
+            for x in xs:
+                mx = mpmath.mpc(x)
+                exact = complex((mx - mpmath.sin(mx)) / mx ** 3)
+                got = fisher._x_minus_sin_over_x3(x)
+                assert abs(got - exact) <= 1e-15 * abs(exact), x
 
 
 class TestGeneratorFd:
@@ -200,7 +281,8 @@ class TestRoutes:
                 th = rng.uniform(lo, hi)
                 t = rng.uniform(0.05, 4.0)
                 phi = evolve(m, th, t, ket0).phi_out
-                values = [qfi_generator(generator_quadrature(m, th, t), phi),
+                values = [qfi_generator(generator_closed_form(m, th, t), phi),
+                          qfi_generator(generator_quadrature(m, th, t), phi),
                           qfi_generator(generator_fd(m, th, t), phi),
                           qfi_state_derivative(m, th, t, ket0)]
                 if m.family in ("pt", "kappa"):
