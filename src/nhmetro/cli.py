@@ -23,6 +23,7 @@ from .errors import (AllTrialsFailed, ConfigError, Degenerate, NumericsError,
                      ZeroG)
 from .estimate import run_trials
 from .fisher import qfi_closed_form, qfi_generator, qfi_record, qfi_state_derivative
+from .models import hamiltonian
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,6 +69,15 @@ def _route_deviation(values) -> float:
     return (max(values) - min(values)) / scale
 
 
+def _sweep_points(cfg: ExperimentConfig):
+    """The sweep column name and its (sweep value, probe, t) points: probe
+    angles in degrees at the grid's start time, or the time grid itself."""
+    if cfg.probe_sweep is not None:
+        return "phi_deg", [(math.degrees(phi), probe_from_angle(phi), cfg.time_grid.start)
+                           for phi in cfg.probe_sweep.angles()]
+    return "t", [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.times()]
+
+
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
     writer = CsvWriter(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
                                   "F_closed_form", "route_deviation"])
@@ -103,19 +113,13 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
 def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     if cfg.estimation is None:
         raise ConfigError("estimation", "required for the estimate subcommand")
-    sweep_is_probe = cfg.probe_sweep is not None
-    sweep_name = "phi_deg" if sweep_is_probe else "t"
+    sweep_name, points = _sweep_points(cfg)
     writer = CsvWriter(out_path, [sweep_name, "p0", "precision", "precision_err",
                                   "mean_estimate", "bias_pct", "failed_trials"])
     trials_writer = CsvWriter(out_path + ".trials.csv" if out_path else None,
                               [sweep_name, "trial", "estimate"])
     theta = cfg.model.true_value
     spec = cfg.estimation
-    if sweep_is_probe:
-        points = [(math.degrees(phi), probe_from_angle(phi), cfg.time_grid.start)
-                  for phi in cfg.probe_sweep.angles()]
-    else:
-        points = [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.times()]
     partial = False
     try:
         for idx, (sweep_value, probe, t) in enumerate(points):
@@ -143,17 +147,11 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
-    sweep_is_probe = cfg.probe_sweep is not None
-    sweep_name = "phi_deg" if sweep_is_probe else "t"
+    sweep_name, points = _sweep_points(cfg)
     writer = CsvWriter(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
                                   "precision_ep", "sqrtF"])
     theta = cfg.model.true_value
     observable = measure.Observable(cfg.measurement, "configured")
-    if sweep_is_probe:
-        points = [(math.degrees(phi), probe_from_angle(phi), cfg.time_grid.start)
-                  for phi in cfg.probe_sweep.angles()]
-    else:
-        points = [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.times()]
     partial = False
     try:
         for sweep_value, probe, t in points:
@@ -187,8 +185,6 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
-    from .models import hamiltonian
-
     writer = CsvWriter(out_path, ["t", "fidelity", "success_prob", "norm_drift",
                                   "eta_residual"])
     theta = cfg.model.true_value

@@ -19,7 +19,6 @@ from .dynamics import check_normalized, fix_phase
 from .errors import NoPositiveSolution, ZetaNotPositive
 
 REAL_SPECTRUM_TOL = 1e-8
-NULLSPACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
 
@@ -29,71 +28,33 @@ class DilationSystem:
     eta: np.ndarray
     c: float
     zeta: np.ndarray
+    z_half: np.ndarray
     H_s: np.ndarray
     V: np.ndarray
     H_tot: np.ndarray
 
 
-def _eta_from_coords(u) -> np.ndarray:
-    a, b, c, d = u
-    return np.array([[a, b + 1j * c], [b - 1j * c, d]])
-
-
 def solve_eta(H) -> np.ndarray:
     """Positive-definite Hermitian metric with eta H = H^dag eta, unit trace.
 
-    The Hermitian 2x2 ansatz has 4 real unknowns; the intertwining relation
-    is a homogeneous linear system whose nullspace is scanned for a
-    positive-definite representative.
+    With H = V diag(lambda) V^-1 and a real spectrum, eta = (V V^dag)^-1
+    intertwines H and H^dag and is positive definite (Mostafazadeh,
+    J. Math. Phys. 43, 205 (2002)). The columns of V are the unit-norm right
+    eigenvectors. A complex spectrum (broken regime) or a defective H (the
+    EP) has no such metric and raises NoPositiveSolution.
     """
     H = linalg.as_matrix(H)
     if H.shape != (2, 2):
         raise ValueError("solve_eta handles 2x2 Hamiltonians only")
-    lam = np.linalg.eigvals(H)
+    ed = linalg.eig_decompose(H)
+    lam = ed.eigenvalues
     if np.max(np.abs(lam.imag)) > REAL_SPECTRUM_TOL * max(1.0, float(np.linalg.norm(H))):
         raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
-
-    columns = []
-    for k in range(4):
-        u = np.zeros(4)
-        u[k] = 1.0
-        eta = _eta_from_coords(u)
-        resid = eta @ H - linalg.dagger(H) @ eta
-        columns.append(np.concatenate([resid.ravel().real, resid.ravel().imag]))
-    M = np.column_stack(columns)
-    _, sing, vt = np.linalg.svd(M)
-    scale = max(sing[0], 1.0)
-    basis = [vt[i] for i in range(4) if (sing[i] if i < len(sing) else 0.0) < NULLSPACE_TOL * scale]
-    if not basis:
-        raise NoPositiveSolution("the intertwining relation has no Hermitian solution")
-
-    def positivity(u):
-        eta = _eta_from_coords(u)
-        tr = np.trace(eta).real
-        if tr < 0:
-            eta = -eta
-        w = np.linalg.eigvalsh(eta)
-        return w.min() / max(abs(w).max(), 1e-300), eta
-
-    # Prefer the nullspace projection of the identity (recovers eta = I/2 for
-    # Hermitian input); otherwise scan combinations of the basis vectors.
-    identity_coords = np.array([1.0, 0.0, 0.0, 1.0])
-    candidates = [sum(float(np.dot(b, identity_coords)) * b for b in basis)]
-    candidates += list(basis)
-    if len(basis) >= 2:
-        for phase in np.linspace(0.0, np.pi, 64, endpoint=False):
-            candidates.append(np.cos(phase) * basis[0] + np.sin(phase) * basis[1])
-
-    best_margin, best_eta = -np.inf, None
-    for u in candidates:
-        if np.linalg.norm(u) < 1e-12:
-            continue
-        margin, eta = positivity(u)
-        if margin > best_margin:
-            best_margin, best_eta = margin, eta
-    if best_eta is None or best_margin <= POSITIVITY_TOL:
-        raise NoPositiveSolution("no positive-definite metric in the nullspace")
-    eta = best_eta / np.trace(best_eta).real
+    if ed.defective:
+        raise NoPositiveSolution("Hamiltonian is defective (exceptional point)")
+    V = ed.right_eigenvectors / np.linalg.norm(ed.right_eigenvectors, axis=0)
+    eta = np.linalg.inv(V @ linalg.dagger(V))
+    eta = eta / np.trace(eta).real
     return (eta + linalg.dagger(eta)) / 2
 
 
@@ -116,7 +77,8 @@ def build_dilation(H) -> DilationSystem:
     H_s = (H_s + linalg.dagger(H_s)) / 2
     V = (V + linalg.dagger(V)) / 2
     H_tot = np.kron(np.eye(2), H_s) + np.kron(linalg.SIGMA_Y, V)
-    return DilationSystem(H=H, eta=eta, c=c, zeta=zeta, H_s=H_s, V=V, H_tot=H_tot)
+    return DilationSystem(H=H, eta=eta, c=c, zeta=zeta, z_half=z_half, H_s=H_s, V=V,
+                          H_tot=H_tot)
 
 
 def evolve_dilated(sys: DilationSystem, psi0, t: float):
@@ -127,8 +89,7 @@ def evolve_dilated(sys: DilationSystem, psi0, t: float):
     post-selection probability.
     """
     psi0 = check_normalized(psi0)
-    z_half = linalg.herm_funct(sys.zeta, "sqrt")
-    Psi0 = np.concatenate([psi0, z_half @ psi0])
+    Psi0 = np.concatenate([psi0, sys.z_half @ psi0])
     Psi_t = linalg.mat_exp(-1j * t * sys.H_tot) @ Psi0
     block0 = Psi_t[:2]
     total = float(np.vdot(Psi_t, Psi_t).real)

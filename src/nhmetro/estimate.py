@@ -100,8 +100,8 @@ def _bounds(bracket) -> tuple[float, float]:
     return lo, hi
 
 
-def _scan(p_of, lo: float, hi: float, scan_points: int) -> BracketScan:
-    grid = np.linspace(lo, hi, scan_points)
+def _scan(p_of, lo: float, hi: float) -> BracketScan:
+    grid = np.linspace(lo, hi, SCAN_POINTS)
     return BracketScan(grid=grid, p=[p_of(th) for th in grid], p_of=p_of)
 
 
@@ -125,8 +125,7 @@ def _polish_root(f, a, b, fa, fb):
 
 
 def mle_invert(model: HamiltonianModel, t: float, psi0, A, shot: ShotRecord,
-               bracket, scan_points: int = SCAN_POINTS,
-               scan: BracketScan | None = None) -> float:
+               bracket, scan: BracketScan | None = None) -> float:
     """Solve p(theta) = x/n for theta inside the bracket.
 
     The bracket is scanned on a uniform grid for a sign change of
@@ -140,7 +139,7 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, shot: ShotRecord,
     """
     lo, hi = _bounds(bracket)
     if scan is None:
-        scan = _scan(_probability_fn(model, t, psi0, check_projector(A)), lo, hi, scan_points)
+        scan = _scan(_probability_fn(model, t, psi0, check_projector(A)), lo, hi)
     grid, p_of = scan.grid, scan.p_of
     target = shot.p_hat
     vals = [p - target for p in scan.p]
@@ -170,7 +169,7 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
     p_of = _probability_fn(model, t, psi0, check_projector(A))
     p = p_of(theta_true)
     shots = [sample_shots(p, n, trial_rng(seed, k)) for k in range(trials)]
-    scan = _scan(p_of, *_bounds(bracket), SCAN_POINTS)
+    scan = _scan(p_of, *_bounds(bracket))
 
     cache: dict[int, float | None] = {}
     estimates = []

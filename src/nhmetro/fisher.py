@@ -21,7 +21,7 @@ from .errors import (ImaginaryResidue, Unconverged, UnsupportedFamily, Unsupport
                      ZeroScalar)
 from .models import HamiltonianModel, d_hamiltonian, hamiltonian
 
-DEFAULT_QUAD_ORDER = 64
+INITIAL_QUAD_ORDER = 64
 QUAD_CONVERGENCE_TOL = 1e-10
 MAX_QUAD_ORDER = 1024
 IMAG_RESIDUE_TOL = 1e-10
@@ -76,17 +76,14 @@ def generator_closed_form(model: HamiltonianModel, theta: float, t: float) -> np
     return a * dH + 1j * b * (dHB - BdH) + d * (B @ dHB)
 
 
-def generator_quadrature(model: HamiltonianModel, theta: float, t: float,
-                         quad_order: int = DEFAULT_QUAD_ORDER, adaptive: bool = True) -> np.ndarray:
+def generator_quadrature(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
     """h as the integral of exp(-i mu H) dH exp(i mu H) over mu in [0, t].
 
-    Gauss-Legendre on [0, t]; with adaptive=True the node count doubles until
-    two successive results h_n, h_2n satisfy ||h_2n - h_n|| < 1e-10 max(1, ||h_2n||),
+    Gauss-Legendre on [0, t] from 64 nodes; the node count doubles until two
+    successive results h_n, h_2n satisfy ||h_2n - h_n|| < 1e-10 max(1, ||h_2n||),
     and raises Unconverged if that fails at 1024 nodes. An independent
     cross-check of generator_closed_form.
     """
-    if quad_order < 2:
-        raise ValueError(f"quad_order must be >= 2, got {quad_order}")
     H = hamiltonian(model, theta)
     dH = d_hamiltonian(model, theta)
     if t == 0:
@@ -101,10 +98,8 @@ def generator_quadrature(model: HamiltonianModel, theta: float, t: float,
             acc = acc + ww * (linalg.mat_exp(-1j * m * H) @ dH @ linalg.mat_exp(1j * m * H))
         return acc
 
-    h = integral(quad_order)
-    if not adaptive:
-        return h
-    order = quad_order
+    order = INITIAL_QUAD_ORDER
+    h = integral(order)
     while order < MAX_QUAD_ORDER:
         order *= 2
         h_next = integral(order)
@@ -221,11 +216,6 @@ def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIReco
     gap = linalg.eig_decompose(h).gap
     return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,
                      I=res.K * F, gap=gap)
-
-
-def scaled_info(rec: QFIRecord) -> float:
-    """Information per input resource: the QFI scaled by the survival weight K."""
-    return rec.K * rec.F
 
 
 def gauge_invariance_check(model: HamiltonianModel, theta: float, t: float, psi0,

@@ -97,7 +97,7 @@ def mat_exp(a) -> np.ndarray:
     return out
 
 
-def eig_decompose(a, cond_threshold: float = DEFECTIVE_COND_THRESHOLD) -> EigenDecomposition:
+def eig_decompose(a) -> EigenDecomposition:
     """Eigendecomposition with a defectiveness flag.
 
     Never raises on defective input; the flag tells downstream code not to
@@ -110,7 +110,7 @@ def eig_decompose(a, cond_threshold: float = DEFECTIVE_COND_THRESHOLD) -> EigenD
     lam = lam[order]
     vec = vec[:, order]
     cond = float(np.linalg.cond(vec))
-    return EigenDecomposition(lam, vec, defective=not cond < cond_threshold)
+    return EigenDecomposition(lam, vec, defective=not cond < DEFECTIVE_COND_THRESHOLD)
 
 
 SPECTRAL_FUNCTIONS = {

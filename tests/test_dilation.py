@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhmetro import linalg, pt_model
+from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dilation import build_dilation, evolve_dilated, solve_eta
 from nhmetro.dynamics import evolve
 from nhmetro.errors import NoPositiveSolution
@@ -12,6 +14,23 @@ from nhmetro.models import hamiltonian
 
 def pt_hamiltonian(alpha, s=1.0):
     return hamiltonian(pt_model(s, alpha, "alpha"), alpha)
+
+
+def unbroken_points():
+    """Seeded unbroken-regime (name, H) points: pt, kappa, ep_demo, and
+    ep_demo within 6e-4 of its EP at alpha = pi/4."""
+    rng = np.random.default_rng(2002)
+    points = []
+    for _ in range(12):
+        alpha = float(rng.uniform(0.01, math.pi / 2 - 1e-3))
+        s = float(rng.uniform(0.1, 3.0))
+        points.append((f"pt s={s} alpha={alpha}", hamiltonian(pt_model(s, alpha, "alpha"), alpha)))
+        kappa = float(rng.uniform(0.05, 20.0))
+        points.append((f"kappa={kappa}", hamiltonian(kappa_model(kappa), kappa)))
+        for lo, hi in [(0.01, 0.78), (0.78, 0.785)]:
+            alpha = float(rng.uniform(lo, hi))
+            points.append((f"ep_demo alpha={alpha}", hamiltonian(ep_demo_model(alpha), alpha)))
+    return points
 
 
 class TestSolveEta:
@@ -37,6 +56,27 @@ class TestSolveEta:
         H = np.array([[1j, 0.1], [0.1, -1j]])
         with pytest.raises(NoPositiveSolution):
             solve_eta(H)
+
+    def test_kappa_metric_is_diagonal(self):
+        # eigenvectors (+-sqrt(kappa), 1): (V V^dag)^-1 is proportional to diag(1, kappa)
+        for kappa in [0.05, 0.5, 2.0, 7.5, 100.0]:
+            eta = solve_eta(hamiltonian(kappa_model(kappa), kappa))
+            assert np.abs(eta - np.diag([1.0, kappa]) / (1.0 + kappa)).max() <= 1e-14
+
+    def test_defective_raises(self):
+        # ep_demo at its EP, alpha = pi/4: one eigenvector, no metric
+        H = np.array([[1j, 1.0], [1.0, -1j]]) / math.sqrt(2)
+        with pytest.raises(NoPositiveSolution):
+            solve_eta(H)
+
+    @pytest.mark.parametrize("name,H", unbroken_points())
+    def test_unbroken_metric(self, name, H):
+        eta = solve_eta(H)
+        resid = np.linalg.norm(eta @ H - linalg.dagger(H) @ eta)
+        assert resid <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(eta)
+        assert linalg.herm_residual(eta) == 0.0
+        assert np.linalg.eigvalsh(eta).min() > 0
+        assert abs(np.trace(eta).real - 1.0) <= 1e-14
 
 
 class TestBuildDilation:
@@ -116,3 +156,15 @@ class TestEvolveDilated:
             K = evolve(m, alpha, t, ket0).K
             _, _, success = evolve_dilated(sys_, ket0, t)
             assert abs(success - K / denom) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.05, math.pi / 2 - 0.05), t=st.floats(0.0, 20.0))
+def test_dilation_recovers_direct_evolution(alpha, t):
+    ket0 = linalg.basis_state(0)
+    sys_ = build_dilation(pt_hamiltonian(alpha))
+    direct = evolve(pt_model(1.0, alpha, "alpha"), alpha, t, ket0)
+    _, recovered, success = evolve_dilated(sys_, ket0, t)
+    assert abs(np.vdot(recovered, direct.phi_out)) >= 1 - 1e-9
+    denom = sys_.c * np.vdot(ket0, sys_.eta @ ket0).real
+    assert abs(success - direct.K / denom) <= 1e-9

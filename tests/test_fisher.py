@@ -10,7 +10,7 @@ from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized, Unco
                             UnsupportedFamily, UnsupportedProbe, ZeroScalar)
 from nhmetro.fisher import (gauge_invariance_check, generator_closed_form, generator_fd,
                             generator_quadrature, qfi_closed_form, qfi_generator,
-                            qfi_record, qfi_state_derivative, scaled_info)
+                            qfi_record, qfi_state_derivative)
 from nhmetro.models import d_hamiltonian
 
 from conftest import SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S
@@ -87,8 +87,6 @@ class TestGeneratorQuadrature:
         with pytest.raises(Unconverged, match="not converged at 128 nodes"):
             generator_quadrature(kappa_model(400.0), 400.0, 100.0)
         assert issubclass(Unconverged, NumericsError)
-        # a fixed order makes no convergence claim
-        generator_quadrature(kappa_model(400.0), 400.0, 100.0, adaptive=False)
 
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -297,7 +295,6 @@ class TestRecordAndScaledInfo:
         rec = qfi_record(pt_model(1.0, math.pi / 4, "s"), 1.0, math.pi / 8, ket0)
         assert rec.F >= -1e-10
         assert abs(rec.I - rec.K * rec.F) < 1e-10 * max(1.0, rec.I)
-        assert scaled_info(rec) == rec.I
         assert rec.gap >= 0
 
     def test_zero_information_at_t0(self, ket0):
