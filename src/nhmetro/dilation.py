@@ -54,8 +54,11 @@ def solve_eta(H) -> np.ndarray:
         raise NoPositiveSolution("Hamiltonian is defective (exceptional point)")
     V = ed.right_eigenvectors / np.linalg.norm(ed.right_eigenvectors, axis=0)
     eta = np.linalg.inv(V @ linalg.dagger(V))
-    eta = eta / np.trace(eta).real
-    return (eta + linalg.dagger(eta)) / 2
+    return _hermitian(eta / np.trace(eta).real)
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return (a + linalg.dagger(a)) / 2
 
 
 def build_dilation(H) -> DilationSystem:
@@ -65,17 +68,17 @@ def build_dilation(H) -> DilationSystem:
     lam = np.linalg.eigvalsh(eta)
     c = float(np.sum(1.0 / lam))
     zeta = c * eta - np.eye(2)
-    if np.linalg.eigvalsh(zeta).min() <= POSITIVITY_TOL:
-        raise ZetaNotPositive("c*eta - I is not positive definite")
-    z_half = linalg.herm_funct(zeta, "sqrt")
-    z_mhalf = linalg.herm_funct(zeta, "inv_sqrt")
-    # (zeta^1/2 + zeta^-1/2)^-1 evaluated spectrally for conditioning.
+    # One diagonalization gives zeta^(+-1/2) and (zeta^1/2 + zeta^-1/2)^-1,
+    # the latter evaluated spectrally for conditioning.
     w, v = np.linalg.eigh(zeta)
-    s_inv = (v * (1.0 / (np.sqrt(w) + 1.0 / np.sqrt(w)))) @ linalg.dagger(v)
-    H_s = (H @ z_mhalf + z_half @ H) @ s_inv
-    V = 1j * (H - z_half @ H @ z_mhalf) @ s_inv
-    H_s = (H_s + linalg.dagger(H_s)) / 2
-    V = (V + linalg.dagger(V)) / 2
+    if w.min() <= POSITIVITY_TOL:
+        raise ZetaNotPositive("c*eta - I is not positive definite")
+    root = np.sqrt(w)
+    z_half = _hermitian((v * root) @ linalg.dagger(v))
+    z_mhalf = _hermitian((v * (1.0 / root)) @ linalg.dagger(v))
+    s_inv = (v * (1.0 / (root + 1.0 / root))) @ linalg.dagger(v)
+    H_s = _hermitian((H @ z_mhalf + z_half @ H) @ s_inv)
+    V = _hermitian(1j * (H - z_half @ H @ z_mhalf) @ s_inv)
     H_tot = np.kron(np.eye(2), H_s) + np.kron(linalg.SIGMA_Y, V)
     return DilationSystem(H=H, eta=eta, c=c, zeta=zeta, z_half=z_half, H_s=H_s, V=V,
                           H_tot=H_tot)

@@ -33,28 +33,41 @@ def check_normalized(v, tol=NORMALIZATION_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Output of a single non-unitary evolution step.
+    """Output of a non-unitary evolution step.
 
     psi_out_raw is the unnormalized U |psi0>; phi_out is normalized and
     phase-fixed; K is the squared norm of the raw output (the trace of the
-    unnormalized output density matrix).
+    unnormalized output density matrix). For an array of theta every field
+    gains a leading axis over theta and K is an array.
     """
 
     U: np.ndarray
     psi_out_raw: np.ndarray
     phi_out: np.ndarray
-    K: float
+    K: float | np.ndarray
 
 
-def evolve(model: HamiltonianModel, theta: float, t: float, psi0) -> EvolutionResult:
+def evolve(model: HamiltonianModel, theta, t: float, psi0) -> EvolutionResult:
+    """Evolve psi0 for time t at one theta, or at each theta of a 1-D array.
+
+    A stacked result equals the per-theta results bit for bit: H is built
+    per theta, the stack goes through one `mat_exp` call, and K and the
+    phase fix stay per vector.
+    """
     psi0 = check_normalized(psi0)
     if t < 0:
         raise OutOfRange(f"evolution time must be nonnegative, got {t}")
-    H = hamiltonian(model, theta)
+    if np.ndim(theta) == 0:
+        H = hamiltonian(model, theta)
+    else:
+        H = np.array([hamiltonian(model, th) for th in theta])
     U = linalg.mat_exp(-1j * t * H)
     raw = U @ psi0
-    K = float(np.vdot(raw, raw).real)
-    phi = fix_phase(raw / np.sqrt(K))
+    if raw.ndim == 1:
+        K = float(np.vdot(raw, raw).real)
+        return EvolutionResult(U=U, psi_out_raw=raw, phi_out=fix_phase(raw / np.sqrt(K)), K=K)
+    K = np.array([np.vdot(r, r).real for r in raw])
+    phi = np.array([fix_phase(r / np.sqrt(k)) for r, k in zip(raw, K)])
     return EvolutionResult(U=U, psi_out_raw=raw, phi_out=phi, K=K)
 
 
@@ -76,9 +89,16 @@ def expectation(phi: np.ndarray, A: np.ndarray) -> float:
 
 
 def outcome_probability(phi: np.ndarray, A: np.ndarray) -> float:
-    """<phi|A|phi> clamped to [0, 1] for a projector A that already passed
-    `check_projector` (callers that evaluate many states validate A once)."""
+    """<phi|A|phi> for a projector A that already passed `check_projector`
+    (callers that evaluate many states validate A once).
+
+    Rounding can put p just outside [0, 1]; within NORMALIZATION_TOL it is
+    clamped. Further out phi is not a normalized state, which raises
+    NotNormalized instead of being clamped away.
+    """
     p = expectation(phi, A)
+    if not -NORMALIZATION_TOL <= p <= 1.0 + NORMALIZATION_TOL:
+        raise NotNormalized(f"outcome probability {p!r} lies outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
 
 

@@ -62,10 +62,6 @@ class ZeroG(NumericsError):
     """The observable acts trivially on the output state."""
 
 
-class NoRoot(NumericsError):
-    """The likelihood equation has no solution inside the bracket."""
-
-
 class NotBracketed(NumericsError):
     pass
 

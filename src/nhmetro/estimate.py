@@ -12,12 +12,11 @@ PRNG: NumPy PCG64. Trial k of a run draws from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dynamics import check_projector, evolve, outcome_probability
-from .errors import AllTrialsFailed, NoRoot, NotBracketed
+from .dynamics import check_projector, evolve, outcome_probability, survival_probability
+from .errors import AllTrialsFailed, NotBracketed, Unconverged
 from .models import HamiltonianModel
 
 SCAN_POINTS = 64
@@ -67,30 +66,17 @@ def sample_shots(p: float, n: int, rng: np.random.Generator) -> ShotRecord:
 
 
 @dataclass(frozen=True)
-class BracketScan:
-    """p(theta) on the uniform scan grid of one bracket.
+class Inversion:
+    """MLE estimates for a sequence of shots on one bracket.
 
-    p(theta) does not depend on the shot count, so one scan serves every
-    inversion at a sweep point. `p[i]` is `p_of(grid[i])`.
+    `estimates[i]` belongs to the i-th shot and is NaN when p(theta) never
+    reaches its x/n on the bracket. `monotone` is False when p(theta) is not
+    strictly monotone on the scan grid, so an estimate may be the first of
+    several roots.
     """
 
-    grid: np.ndarray
-    p: list
-    p_of: Callable[[float], float]
-
-    @property
-    def monotone(self) -> bool:
-        """True when p strictly increases or strictly decreases on the grid."""
-        steps = np.diff(self.p)
-        return bool((steps > 0).all() or (steps < 0).all())
-
-
-def _probability_fn(model, t, psi0, A):
-    """p(theta); A must already have passed `check_projector`."""
-    def p_of(theta):
-        return outcome_probability(evolve(model, theta, t, psi0).phi_out, A)
-
-    return p_of
+    estimates: np.ndarray
+    monotone: bool
 
 
 def _bounds(bracket) -> tuple[float, float]:
@@ -100,95 +86,93 @@ def _bounds(bracket) -> tuple[float, float]:
     return lo, hi
 
 
-def _scan(p_of, lo: float, hi: float) -> BracketScan:
-    grid = np.linspace(lo, hi, SCAN_POINTS)
-    return BracketScan(grid=grid, p=[p_of(th) for th in grid], p_of=p_of)
+def _probabilities(model, thetas, t, psi0, A) -> np.ndarray:
+    """p at each theta from one batched `evolve`; A must be validated."""
+    return np.array([outcome_probability(phi, A)
+                     for phi in evolve(model, thetas, t, psi0).phi_out])
 
 
-def _polish_root(f, a, b, fa, fb):
-    """Bracketed root solve alternating secant and bisection steps."""
-    for it in range(MAX_ROOT_ITER):
-        if fb != fa and it % 2 == 0:
-            x = b - fb * (b - a) / (fb - fa)
-            if not a < x < b:
-                x = 0.5 * (a + b)
-        else:
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if abs(fx) < ROOT_FTOL or (b - a) < ROOT_XTOL:
-            return x
-        if (fa < 0) != (fx < 0):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    return 0.5 * (a + b)
+def mle_invert(model: HamiltonianModel, t: float, psi0, A, shots, bracket) -> Inversion:
+    """Solve p(theta) = x/n inside the bracket for every shot at once.
 
+    The likelihood depends on theta only through p, so every root inside
+    the bracket ties and the first one is taken. Each distinct x/n goes
+    through the same steps:
 
-def mle_invert(model: HamiltonianModel, t: float, psi0, A, shot: ShotRecord,
-               bracket, scan: BracketScan | None = None) -> float:
-    """Solve p(theta) = x/n for theta inside the bracket.
+    - scan: the first grid point where |p - x/n| < ROOT_FTOL is the
+      estimate; the first sign change of p - x/n between neighbours is
+      polished; with neither there is no root (NaN);
+    - polish: secant steps (bisection when they leave the interval)
+      alternate with bisection until |p - x/n| < ROOT_FTOL or the interval
+      is narrower than ROOT_XTOL. An x/n still open after MAX_ROOT_ITER
+      rounds raises Unconverged.
 
-    The bracket is scanned on a uniform grid for a sign change of
-    p(theta) - x/n; the enclosing interval is then polished to 1e-12. All
-    roots inside the bracket tie in likelihood (the likelihood depends on
-    theta only through p), so the first one is returned.
-
-    `scan` is the bracket's precomputed scan (as `run_trials` builds it for
-    the same model, t, psi0, validated A and bracket); without it the scan
-    is evaluated here. Either way the result is the same to the bit.
+    The scan grid is one `evolve` call, and each polish round is one call
+    over every x/n still open.
     """
     lo, hi = _bounds(bracket)
-    if scan is None:
-        scan = _scan(_probability_fn(model, t, psi0, check_projector(A)), lo, hi)
-    grid, p_of = scan.grid, scan.p_of
-    target = shot.p_hat
-    vals = [p - target for p in scan.p]
-    for i in range(len(grid) - 1):
-        if abs(vals[i]) < ROOT_FTOL:
-            return float(grid[i])
-        if (vals[i] < 0) != (vals[i + 1] < 0):
-            return float(_polish_root(lambda th: p_of(th) - target,
-                                      grid[i], grid[i + 1], vals[i], vals[i + 1]))
-    if abs(vals[-1]) < ROOT_FTOL:
-        return float(grid[-1])
-    raise NoRoot(f"p(theta) never crosses x/n = {target} on the bracket ({lo}, {hi})")
+    A = check_projector(A)
+    targets, inverse = np.unique([shot.p_hat for shot in shots], return_inverse=True)
+    grid = np.linspace(lo, hi, SCAN_POINTS)
+    p = _probabilities(model, grid, t, psi0, A)
+    steps = np.diff(p)
+    monotone = bool((steps > 0).all() or (steps < 0).all())
+
+    vals = p[None, :] - targets[:, None]
+    hit = np.abs(vals) < ROOT_FTOL
+    event = hit[:, :-1] | ((vals[:, :-1] < 0) != (vals[:, 1:] < 0))
+    first = np.argmax(event, axis=1)
+    found = event.any(axis=1)
+    roots = np.full(len(targets), np.nan)
+    on_grid = found & hit[np.arange(len(targets)), first]
+    roots[on_grid] = grid[first[on_grid]]
+    roots[~found & hit[:, -1]] = grid[-1]
+
+    todo = np.flatnonzero(found & ~on_grid)
+    i = first[todo]
+    a, b = grid[i], grid[i + 1]
+    fa, fb = vals[todo, i], vals[todo, i + 1]
+    for it in range(MAX_ROOT_ITER):
+        if not len(todo):
+            break
+        x = 0.5 * (a + b)
+        if it % 2 == 0:
+            # fa and fb lie on opposite sides of 0, so fb != fa
+            xs = b - fb * (b - a) / (fb - fa)
+            x = np.where((a < xs) & (xs < b), xs, x)
+        fx = _probabilities(model, x, t, psi0, A) - targets[todo]
+        done = (np.abs(fx) < ROOT_FTOL) | ((b - a) < ROOT_XTOL)
+        roots[todo[done]] = x[done]
+        left = (fa < 0) != (fx < 0)
+        b, fb = np.where(left, x, b), np.where(left, fx, fb)
+        a, fa = np.where(left, a, x), np.where(left, fa, fx)
+        keep = ~done
+        todo, a, b, fa, fb = todo[keep], a[keep], b[keep], fa[keep], fb[keep]
+    if len(todo):
+        raise Unconverged(f"{len(todo)} shot frequencies still unresolved after "
+                          f"{MAX_ROOT_ITER} polish rounds on ({lo}, {hi})")
+    return Inversion(estimates=roots[inverse], monotone=monotone)
 
 
 def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
                n: int, trials: int, seed: int, bracket) -> EstimationRun:
     """Repeat (sample n shots, invert the MLE) `trials` times and summarize.
 
-    Failed inversions (NoRoot) are counted and excluded from the statistics,
-    never silently dropped. The estimator for a given shot count x is
-    deterministic, so inversions are memoized on x. The projector is
-    validated and the bracket scanned once per call; every inversion reuses
-    that scan, which gives the same estimates as scanning per inversion.
+    Failed inversions (no root on the bracket) are counted and excluded
+    from the statistics, never silently dropped. All shots go through one
+    `mle_invert` call, which solves each distinct x/n once.
     """
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
-    p_of = _probability_fn(model, t, psi0, check_projector(A))
-    p = p_of(theta_true)
+    p = survival_probability(evolve(model, theta_true, t, psi0), A)
     shots = [sample_shots(p, n, trial_rng(seed, k)) for k in range(trials)]
-    scan = _scan(p_of, *_bounds(bracket))
-
-    cache: dict[int, float | None] = {}
-    estimates = []
-    failed = 0
-    for shot in shots:
-        if shot.x not in cache:
-            try:
-                cache[shot.x] = mle_invert(model, t, psi0, A, shot, bracket, scan=scan)
-            except NoRoot:
-                cache[shot.x] = None
-        est = cache[shot.x]
-        if est is None:
-            failed += 1
-        else:
-            estimates.append(est)
-    if not estimates:
+    inversion = mle_invert(model, t, psi0, A, shots, bracket)
+    solved = ~np.isnan(inversion.estimates)
+    estimates = inversion.estimates[solved]
+    failed = trials - int(solved.sum())
+    if not len(estimates):
         raise AllTrialsFailed(f"all {trials} trials failed MLE inversion")
 
-    estimates = np.array(estimates)
     mean = float(estimates.mean())
     sigma = float(estimates.std(ddof=1)) if len(estimates) > 1 else 0.0
     spread = np.sqrt(2.0 * (trials - 1))
@@ -202,5 +186,5 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
         precision=precision,
         precision_err=precision / spread,
         failed_trials=failed,
-        non_monotone_scan=not scan.monotone,
+        non_monotone_scan=not inversion.monotone,
     )

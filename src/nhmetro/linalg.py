@@ -50,7 +50,7 @@ def herm_residual(a: np.ndarray) -> float:
 
 
 def check_finite(a, context="matrix"):
-    if not np.all(np.isfinite(np.asarray(a).view(float))):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{context} contains NaN/Inf entries")
     return a
 
@@ -70,30 +70,64 @@ class EigenDecomposition:
         return float(abs(lam[-1] - lam[0]))
 
 
+def _squarings(a: np.ndarray) -> int:
+    """Halvings that bring the Frobenius norm of `a` to <= SCALING_TARGET_NORM."""
+    norm = float(np.linalg.norm(a))
+    if norm > SCALING_TARGET_NORM:
+        return int(np.ceil(np.log2(norm / SCALING_TARGET_NORM)))
+    return 0
+
+
+def _taylor(b: np.ndarray) -> np.ndarray:
+    """Order-TAYLOR_ORDER Taylor series of exp(b) for a matrix or a stack."""
+    term = np.eye(b.shape[-1], dtype=complex)
+    if b.ndim == 3:
+        term = np.broadcast_to(term, b.shape)
+    out = term.copy()
+    for k in range(1, TAYLOR_ORDER + 1):
+        term = term @ b / k
+        out += term
+    return out
+
+
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with a truncated series.
 
     The input is scaled so its Frobenius norm is <= 0.5 before summing the
     order-13 Taylor series; the truncation error is then far below double
     rounding for the dimensions handled here (<= 4).
+
+    `a` is one matrix or a stack of shape (N, d, d). Each matrix of a stack
+    keeps its own squaring count and gets exactly the bits of a single call.
     """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 3:
+        return _mat_exp_stack(a)
     a = as_matrix(a)
     check_finite(a, "mat_exp input")
-    norm = float(np.linalg.norm(a))
-    squarings = 0
-    if norm > SCALING_TARGET_NORM:
-        squarings = int(np.ceil(np.log2(norm / SCALING_TARGET_NORM)))
-    b = a / (2.0 ** squarings)
-    eye = np.eye(a.shape[0], dtype=complex)
-    term = eye.copy()
-    out = eye.copy()
-    for k in range(1, TAYLOR_ORDER + 1):
-        term = term @ b / k
-        out += term
+    squarings = _squarings(a)
+    out = _taylor(a / (2.0 ** squarings))
     for stage in range(squarings):
         out = out @ out
-        if not np.all(np.isfinite(out.view(float))):
+        if not np.isfinite(out).all():
             raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{squarings}")
+    return out
+
+
+def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    check_finite(a, "mat_exp input")
+    squarings = np.array([_squarings(m) for m in a], dtype=int)
+    out = _taylor(a / (2.0 ** squarings)[:, None, None])
+    for stage in range(squarings.max(initial=0)):
+        todo = np.flatnonzero(squarings > stage)
+        squared = out[todo] @ out[todo]
+        finite = np.isfinite(squared).all(axis=(1, 2))
+        if not finite.all():
+            total = squarings[todo[np.argmin(finite)]]
+            raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{total}")
+        out[todo] = squared
     return out
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nhmetro import cli, ep_demo_model, fisher, linalg
+from nhmetro import cli, ep_demo_model, estimate, fisher, linalg
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
 from nhmetro.dynamics import evolve
@@ -230,6 +230,20 @@ class TestCliEstimate:
         assert len(rows) == 2
         assert rows[0][1] != "nan" and rows[0][-1] == "0"
         assert rows[1][1:] == ["nan"] * 5 + ["2"]
+
+    def test_unconverged_polish_is_a_failed_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(estimate, "MAX_ROOT_ITER", 1)
+        doc = base_config(
+            time_grid={"start": math.pi / 4, "stop": math.pi / 4, "steps": 1},
+            estimation={"n": 2000, "trials": 5, "seed": 7, "bracket": [0.6, 1.4]})
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 3
+        assert "polish rounds" in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
+        assert len(rows) == 1
+        assert rows[0][1] != "nan" and rows[0][2:] == ["nan"] * 4 + ["5"]
+        assert (tmp_path / "est.csv.trials.csv").read_text() == "t,trial,estimate\n"
 
     def test_non_monotone_bracket_is_logged(self, tmp_path, capsys):
         # p(s) at t = pi/2 has its minimum inside the bracket (at s = 2.121)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhmetro import linalg, pt_model, custom_model
-from nhmetro.dynamics import check_projector, evolve, fix_phase, survival_probability
+from nhmetro import custom_model, ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro.dynamics import (check_projector, evolve, fix_phase, outcome_probability,
+                              survival_probability)
 from nhmetro.errors import NotNormalized, NotProjector
 
 from conftest import P0_PROBE, P0_TIME, T18, probe_state
@@ -84,3 +87,36 @@ class TestSurvivalProbability:
 def test_check_projector_accepts_rank1():
     v = np.array([0.6, 0.8])
     check_projector(linalg.projector(v))
+
+
+def test_outcome_probability_clamps_rounding_only(proj0):
+    # |phi|^2 = 1 + 4.4e-16 is rounding: clamped to 1
+    assert outcome_probability(np.array([1.0 + 2e-16, 0.0]), proj0) == 1.0
+    with pytest.raises(NotNormalized):
+        outcome_probability(np.array([1.1, 0.0]), proj0)
+
+
+# Each family with the range its estimated parameter is drawn from.
+STACK_FAMILIES = {
+    "pt": (pt_model(1.0, 0.7, "s"), st.floats(0.0, 3.0)),
+    "kappa": (kappa_model(2.0), st.floats(0.05, 20.0).filter(lambda k: k != 1.0)),
+    "ep_demo": (ep_demo_model(0.5), st.floats(0.01, math.pi / 4 - 0.01)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(STACK_FAMILIES)), t=st.floats(0.0, 50.0),
+       probe_deg=st.floats(0.0, 45.0), data=st.data())
+def test_stacked_evolve_matches_single_evolves(family, t, probe_deg, data):
+    # with t up to 50 a pt or kappa stack mixes squaring counts
+    model, thetas = STACK_FAMILIES[family]
+    thetas = data.draw(st.lists(thetas, min_size=1, max_size=70))
+    psi0 = probe_state(probe_deg)
+    stacked = evolve(model, np.array(thetas), t, psi0)
+    assert stacked.U.shape == (len(thetas), 2, 2) and stacked.K.shape == (len(thetas),)
+    for i, theta in enumerate(thetas):
+        single = evolve(model, theta, t, psi0)
+        assert np.array_equal(stacked.U[i], single.U)
+        assert np.array_equal(stacked.psi_out_raw[i], single.psi_out_raw)
+        assert np.array_equal(stacked.phi_out[i], single.phi_out)
+        assert stacked.K[i] == single.K

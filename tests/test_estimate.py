@@ -5,7 +5,7 @@ import pytest
 
 from nhmetro import estimate, linalg, pt_model, kappa_model
 from nhmetro.dynamics import evolve, survival_probability
-from nhmetro.errors import AllTrialsFailed, NoRoot, NotBracketed
+from nhmetro.errors import AllTrialsFailed, NotBracketed, Unconverged
 from nhmetro.estimate import (SCAN_POINTS, ShotRecord, mle_invert, run_trials,
                               sample_shots, trial_rng)
 
@@ -43,20 +43,32 @@ class TestMleInvert:
         t = math.pi / 4
         p = survival_probability(evolve(m, 1.0, t, ket0), proj0)
         shot = ShotRecord(n=1, x=0, p_hat=p)  # p_hat carries the exact value
-        est = mle_invert(m, t, ket0, proj0, shot, (0.7, 1.3))
-        assert abs(est - 1.0) < 1e-9
+        inversion = mle_invert(m, t, ket0, proj0, [shot], (0.7, 1.3))
+        assert inversion.monotone
+        assert abs(inversion.estimates[0] - 1.0) < 1e-9
+
+    def test_roots_on_the_scan_grid_are_exact(self, ket0, proj0):
+        # p(s) falls on the bracket, so p(hi) has no sign change before it
+        # and is caught by the check of the last grid point
+        m = pt_model(1.0, math.pi / 4, "s")
+        t, lo, hi = math.pi / 4, 0.7, 1.3
+        grid = np.linspace(lo, hi, SCAN_POINTS)
+        shots = [ShotRecord(n=1, x=0, p_hat=survival_probability(evolve(m, th, t, ket0), proj0))
+                 for th in (grid[5], grid[-1])]
+        estimates = mle_invert(m, t, ket0, proj0, shots, (lo, hi)).estimates
+        assert estimates.tolist() == [grid[5], grid[-1]]
 
     def test_no_root_outside_range(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         shot = ShotRecord(n=10, x=10, p_hat=1.0)  # p never reaches 1 on this bracket
-        with pytest.raises(NoRoot):
-            mle_invert(m, math.pi / 4, ket0, proj0, shot, (0.9, 1.1))
+        estimates = mle_invert(m, math.pi / 4, ket0, proj0, [shot], (0.9, 1.1)).estimates
+        assert estimates.shape == (1,) and np.isnan(estimates[0])
 
     def test_empty_bracket(self, ket0, proj0):
         shot = ShotRecord(n=10, x=5, p_hat=0.5)
         m = pt_model(1.0, math.pi / 4, "s")
         with pytest.raises(NotBracketed):
-            mle_invert(m, 1.0, ket0, proj0, shot, (1.2, 0.8))
+            mle_invert(m, 1.0, ket0, proj0, [shot], (1.2, 0.8))
         with pytest.raises(NotBracketed):
             run_trials(m, 1.0, 1.0, ket0, proj0, 10, 2, 0, (1.2, 0.8))
 
@@ -108,21 +120,23 @@ class TestRunTrials:
             run_trials(m, 1.0, math.pi, ket0, proj0, 2000, 5, 3, (2.9, 3.0))
 
 
-def unscanned_trials(model, theta_true, t, psi0, A, n, trials, seed, bracket):
-    """Estimates and failure count from one scanning `mle_invert` per shot."""
+def single_shot_inversions(model, theta_true, t, psi0, A, n, trials, seed, bracket):
+    """Estimates and failure count from one `mle_invert` call per shot."""
     p = survival_probability(evolve(model, theta_true, t, psi0), A)
     estimates, failed = [], 0
     for k in range(trials):
-        try:
-            estimates.append(mle_invert(model, t, psi0, A,
-                                        sample_shots(p, n, trial_rng(seed, k)), bracket))
-        except NoRoot:
+        shot = sample_shots(p, n, trial_rng(seed, k))
+        est = mle_invert(model, t, psi0, A, [shot], bracket).estimates[0]
+        if np.isnan(est):
             failed += 1
+        else:
+            estimates.append(est)
     return np.array(estimates), failed
 
 
 class TestSharedScan:
-    """`run_trials` scans each bracket once; the estimates must not notice."""
+    """`run_trials` inverts all shots in one batched `mle_invert` call; each
+    estimate must equal the bits of inverting its shot alone."""
 
     PT_S = pt_model(1.0, math.pi / 4, "s")
 
@@ -130,7 +144,7 @@ class TestSharedScan:
         args = (self.PT_S, 1.0, 10 * math.pi / 8, ket0, proj0, 2000, 150, MLE_SEED,
                 BRACKETS["pt-s"][9])
         run = run_trials(*args)
-        estimates, failed = unscanned_trials(*args)
+        estimates, failed = single_shot_inversions(*args)
         assert np.array_equal(run.estimates, estimates)
         assert run.failed_trials == failed == 0
         assert not run.non_monotone_scan
@@ -140,7 +154,7 @@ class TestSharedScan:
         # so many shot counts have no root inside it
         args = (self.PT_S, 1.0, math.pi / 4, ket0, proj0, 2000, 120, 5, (0.98, 1.02))
         run = run_trials(*args)
-        estimates, failed = unscanned_trials(*args)
+        estimates, failed = single_shot_inversions(*args)
         assert 0 < run.failed_trials < 120
         assert run.failed_trials == failed
         assert np.array_equal(run.estimates, estimates)
@@ -159,9 +173,11 @@ class TestSharedScan:
         p = survival_probability(evolve(self.PT_S, 1.0, t, ket0), proj0)
         distinct = {sample_shots(p, n, trial_rng(MLE_SEED, k)).x for k in range(trials)}
         assert run.failed_trials == 0
-        # one p(theta_true), one scan, then only the polish of each distinct x
-        assert SCAN_POINTS + 1 + len(distinct) <= len(calls)
-        assert len(calls) <= SCAN_POINTS + 1 + 12 * len(distinct)
+        # one p(theta_true), one batched scan, then one batched call per
+        # polish round over every shot count still open
+        assert 3 <= len(calls) <= 2 + 12
+        assert len(calls[1]) == SCAN_POINTS
+        assert len(calls[2]) == len(distinct)
 
     def test_non_monotone_bracket_is_flagged(self, ket0, proj0):
         # at t = pi/2, p(s) falls to 0 at s = 2.121 and climbs back to 0.80 at
@@ -169,7 +185,7 @@ class TestSharedScan:
         args = (self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 60, 3, (1.5, 2.6))
         run = run_trials(*args)
         assert run.non_monotone_scan
-        estimates, failed = unscanned_trials(*args)
+        estimates, failed = single_shot_inversions(*args)
         assert np.array_equal(run.estimates, estimates)
         assert run.failed_trials == failed
         # the first root is the one left of the minimum, next to the truth
@@ -179,3 +195,25 @@ class TestSharedScan:
     def test_monotone_part_is_not_flagged(self, ket0, proj0):
         run = run_trials(self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 10, 3, (1.5, 2.0))
         assert not run.non_monotone_scan
+
+    @pytest.mark.parametrize("theta, t, bracket", [
+        (1.0, 10 * math.pi / 8, BRACKETS["pt-s"][9]),
+        (1.0, math.pi / 4, (0.98, 1.02)),
+        (1.8, math.pi / 2, (1.5, 2.6)),
+    ], ids=["monotone", "failing", "non-monotone"])
+    def test_batched_inversion_matches_single_shots(self, ket0, proj0, theta, t, bracket):
+        p = survival_probability(evolve(self.PT_S, theta, t, ket0), proj0)
+        shots = [sample_shots(p, 2000, trial_rng(3, k)) for k in range(40)]
+        batched = mle_invert(self.PT_S, t, ket0, proj0, shots, bracket).estimates
+        single = [mle_invert(self.PT_S, t, ket0, proj0, [shot], bracket).estimates[0]
+                  for shot in shots]
+        assert batched.shape == (40,)
+        assert np.array_equal(batched, single, equal_nan=True)
+
+    def test_unconverged_polish_raises(self, ket0, proj0, monkeypatch):
+        monkeypatch.setattr(estimate, "MAX_ROOT_ITER", 1)
+        p = survival_probability(evolve(self.PT_S, 1.0, math.pi / 4, ket0), proj0)
+        x = round(2000 * p)
+        shot = ShotRecord(n=2000, x=x, p_hat=x / 2000)
+        with pytest.raises(Unconverged):
+            mle_invert(self.PT_S, math.pi / 4, ket0, proj0, [shot], (0.62, 1.38))

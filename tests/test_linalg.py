@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import linalg, pt_model, kappa_model
-from nhmetro.errors import NotHermitian, NotPositive, Singular
+from nhmetro.errors import NonFinite, NotHermitian, NotPositive, Singular
 from nhmetro.models import closed_form_U, hamiltonian
 
 
@@ -38,6 +40,27 @@ class TestMatExp:
             a *= 10.0 / max(np.linalg.norm(a), 1.0)
             prod = linalg.mat_exp(a) @ linalg.mat_exp(-a)
             assert np.linalg.norm(prod - np.eye(2)) < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 70),
+           dim=st.sampled_from([2, 4]), scale=st.floats(0.0, 50.0))
+    def test_stack_matches_single_calls(self, seed, size, dim, scale):
+        # per-matrix norms from 0 to about 2 * dim * scale: mixed squaring counts
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(size, dim, dim)) + 1j * rng.normal(size=(size, dim, dim))
+        a *= scale * rng.uniform(size=(size, 1, 1))
+        stacked = linalg.mat_exp(a)
+        assert stacked.shape == a.shape
+        for got, m in zip(stacked, a):
+            assert np.array_equal(got, linalg.mat_exp(m))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_stack_overflow_raises(self):
+        a = np.stack([np.eye(2), 800.0 * np.eye(2)]).astype(complex)
+        with pytest.raises(NonFinite, match="squaring stage"):
+            linalg.mat_exp(a)
+        assert linalg.mat_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
     def test_unitary_for_hermitian_generator(self):
         rng = np.random.default_rng(13)
