@@ -20,7 +20,7 @@ from . import dilation, fisher, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
 from .dynamics import evolve, survival_probability
 from .errors import (AllTrialsFailed, ConfigError, Degenerate, NumericsError,
-                     ZeroG)
+                     UnsupportedFamily, UnsupportedProbe, ZeroG)
 from .estimate import run_trials
 from .fisher import qfi_closed_form, qfi_generator, qfi_record, qfi_state_derivative
 from .models import hamiltonian
@@ -74,18 +74,17 @@ def _sweep_points(cfg: ExperimentConfig):
     angles in degrees at the grid's start time, or the time grid itself."""
     if cfg.probe_sweep is not None:
         return "phi_deg", [(math.degrees(phi), probe_from_angle(phi), cfg.time_grid.start)
-                           for phi in cfg.probe_sweep.angles()]
-    return "t", [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.times()]
+                           for phi in cfg.probe_sweep.linspace()]
+    return "t", [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.linspace()]
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
     writer = CsvWriter(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
                                   "F_closed_form", "route_deviation"])
     theta = cfg.model.true_value
-    probe_is_ket0 = abs(cfg.probe[0] - 1.0) < 1e-12 and abs(cfg.probe[1]) < 1e-12
     partial = False
     try:
-        for t in cfg.time_grid.times():
+        for t in cfg.time_grid.linspace():
             try:
                 rec = qfi_record(cfg.model, theta, float(t), cfg.probe)
             except NumericsError as exc:
@@ -93,14 +92,15 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
                 writer.row([t, None, None, None, None, None, None, None, None])
                 partial = True
                 continue
-            # Cross-checks: a failure blanks route_deviation, not the row.
-            f_closed = deviation = None
             try:
-                if cfg.model.family in ("pt", "kappa") and probe_is_ket0:
-                    f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
-                f_fd = qfi_generator(fisher.generator_fd(cfg.model, theta, float(t)), rec.phi_out)
+                f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
+            except (UnsupportedFamily, UnsupportedProbe):
+                f_closed = None
+            # Cross-checks: a failure blanks route_deviation, not the row.
+            deviation = None
+            try:
                 f_state = qfi_state_derivative(cfg.model, theta, float(t), cfg.probe)
-                deviation = _route_deviation([rec.F, f_fd, f_state, f_closed])
+                deviation = _route_deviation([rec.F, f_state, f_closed])
             except NumericsError as exc:
                 log(f"t={t}: cross-check {exc}")
             writer.row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
@@ -194,7 +194,7 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
     norm0 = None
     partial = False
     try:
-        for t in cfg.time_grid.times():
+        for t in cfg.time_grid.linspace():
             try:
                 Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, float(t))
                 total = float(np.vdot(Psi_t, Psi_t).real)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,26 +21,15 @@ from .models import (FAMILIES, HamiltonianModel, ep_demo_model, kappa_model,
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    start: float
-    stop: float
-    steps: int
-
-    def times(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-@dataclass(frozen=True)
-class ProbeSweep:
-    """Probe-angle sweep in radians (phi of cos2phi|0> + sin2phi|1>)."""
+class Grid:
+    """Evenly spaced points from start to stop: evolution times, or probe
+    angles in radians (phi of cos2phi|0> + sin2phi|1>)."""
 
     start: float
     stop: float
     steps: int
 
-    def angles(self) -> np.ndarray:
+    def linspace(self) -> np.ndarray:
         if self.steps == 1:
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
@@ -60,11 +49,10 @@ class ExperimentConfig:
     model: HamiltonianModel
     probe: np.ndarray
     measurement: np.ndarray
-    time_grid: TimeGrid
+    time_grid: Grid
     estimation: Optional[EstimationSpec] = None
-    probe_sweep: Optional[ProbeSweep] = None
+    probe_sweep: Optional[Grid] = None
     csv_path: Optional[str] = None
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def probe_from_angle(phi: float) -> np.ndarray:
@@ -157,7 +145,7 @@ def _parse_measurement(doc) -> np.ndarray:
     raise ConfigError("measurement", "needs 'basis_state' or 'matrix'")
 
 
-def _parse_time_grid(doc) -> TimeGrid:
+def _parse_time_grid(doc) -> Grid:
     start = float(_require(doc, "start", "time_grid", (int, float)))
     stop = float(_require(doc, "stop", "time_grid", (int, float)))
     steps = _require(doc, "steps", "time_grid", int)
@@ -167,16 +155,16 @@ def _parse_time_grid(doc) -> TimeGrid:
         raise ConfigError("time_grid.start", f"must be >= 0, got {start}")
     if stop < start:
         raise ConfigError("time_grid.stop", f"must be >= start, got {stop}")
-    return TimeGrid(start, stop, steps)
+    return Grid(start, stop, steps)
 
 
-def _parse_probe_sweep(doc) -> ProbeSweep:
+def _parse_probe_sweep(doc) -> Grid:
     start = _angle(_require(doc, "start", "probe_sweep"), "probe_sweep.start")
     stop = _angle(_require(doc, "stop", "probe_sweep"), "probe_sweep.stop")
     steps = _require(doc, "steps", "probe_sweep", int)
     if steps < 1:
         raise ConfigError("probe_sweep.steps", f"must be >= 1, got {steps}")
-    return ProbeSweep(start, stop, steps)
+    return Grid(start, stop, steps)
 
 
 def _parse_bracket(value, n_points):
@@ -223,7 +211,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         csv_path = _require(doc["output"], "csv_path", "output", str)
     return ExperimentConfig(model=model, probe=probe, measurement=measurement,
                             time_grid=time_grid, estimation=estimation,
-                            probe_sweep=probe_sweep, csv_path=csv_path, raw=doc)
+                            probe_sweep=probe_sweep, csv_path=csv_path)
 
 
 def load_config(path: str) -> ExperimentConfig:

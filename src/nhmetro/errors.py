@@ -13,14 +13,6 @@ class NotHermitian(NumericsError):
     pass
 
 
-class NotPositive(NumericsError):
-    pass
-
-
-class Singular(NumericsError):
-    pass
-
-
 class NotNormalized(NumericsError):
     pass
 
@@ -48,10 +40,6 @@ class UnsupportedFamily(NumericsError):
 
 class UnsupportedProbe(NumericsError):
     """Closed-form expression only valid for a specific probe state."""
-
-
-class ZeroScalar(NumericsError):
-    pass
 
 
 class Degenerate(NumericsError):

@@ -1,10 +1,11 @@
 """Quantum Fisher information for non-unitary dynamics.
 
 The local generator h = i (dU/dtheta) U^-1 has an exact 2x2 closed form,
-which is the production route; a time-ordered quadrature and a finite
-difference of the evolution operator stay as independent cross-checks. The
-QFI is computed by three routes (generalized variance of h, derivative of
-the normalized state, and closed forms for the catalog families).
+which is the production route; a time-ordered quadrature stays as an
+independent cross-check in the tests. The QFI is computed by three routes:
+the generalized variance of h (production), the derivative of the
+normalized output state with dU/dtheta taken exactly from one 4x4 block
+exponential, and closed forms for the catalog families.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import linalg
 from .dynamics import check_normalized, evolve
-from .errors import (ImaginaryResidue, Unconverged, UnsupportedFamily, UnsupportedProbe,
-                     ZeroScalar)
+from .errors import ImaginaryResidue, Unconverged, UnsupportedFamily, UnsupportedProbe
 from .models import HamiltonianModel, d_hamiltonian, hamiltonian
 
 INITIAL_QUAD_ORDER = 64
@@ -30,14 +30,6 @@ IMAG_RESIDUE_TOL = 1e-10
 # |x| = 2 the first dropped term is 2^22/25! < 3e-19.
 SERIES_THRESHOLD = 2.0
 _SERIES_COEFFS = tuple(1.0 / math.factorial(2 * k + 3) for k in range(11))
-
-
-def _fd_step(theta: float, step) -> float:
-    if step is not None:
-        if step <= 0:
-            raise ValueError(f"finite-difference step must be positive, got {step}")
-        return float(step)
-    return 1e-5 * max(1.0, abs(theta))
 
 
 def _x_minus_sin_over_x3(x: complex) -> complex:
@@ -110,14 +102,19 @@ def generator_quadrature(model: HamiltonianModel, theta: float, t: float) -> np.
                       f"(theta = {theta}, t = {t})")
 
 
-def generator_fd(model: HamiltonianModel, theta: float, t: float, step=None) -> np.ndarray:
-    """h = i (dU/dtheta) U^-1 with dU by central finite difference."""
-    eps = _fd_step(theta, step)
-    U_plus = linalg.mat_exp(-1j * t * hamiltonian(model, theta + eps))
-    U_minus = linalg.mat_exp(-1j * t * hamiltonian(model, theta - eps))
-    dU = (U_plus - U_minus) / (2 * eps)
-    U = linalg.mat_exp(-1j * t * hamiltonian(model, theta))
-    return 1j * dU @ linalg.mat_inverse(U)
+def output_derivative(model: HamiltonianModel, theta: float, t: float):
+    """(U, dU/dtheta) with U = exp(-i t H), both exact, from one 4x4 exponential.
+
+    exp(-i t [[H, dH], [0, H]]) = [[U, dU], [0, U]] (Van Loan, IEEE Trans.
+    Autom. Control 23 (1978) 395): no step, so theta never leaves the
+    admissible range next to the EP. Independent of generator_closed_form.
+    """
+    H = hamiltonian(model, theta)
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = block[2:, 2:] = H
+    block[:2, 2:] = d_hamiltonian(model, theta)
+    E = linalg.mat_exp(-1j * t * block)
+    return E[:2, :2], E[:2, 2:]
 
 
 def qfi_generator(h, phi) -> float:
@@ -132,31 +129,24 @@ def qfi_generator(h, phi) -> float:
     return float(value.real)
 
 
-def _normalized_output(model, theta, t, psi0, scalar=None) -> np.ndarray:
-    """U psi0 / ||U psi0|| without any phase fixing (gauge-safe for derivatives)."""
-    v = linalg.mat_exp(-1j * t * hamiltonian(model, theta)) @ psi0
-    if scalar is not None:
-        c = complex(scalar(theta))
-        if c == 0:
-            raise ZeroScalar(f"scalar vanishes at theta = {theta}")
-        v = c * v
-    return v / np.linalg.norm(v)
+def qfi_from_output(v, dv) -> float:
+    """4(<dv|dv>/<v|v> - |<v|dv>|^2/<v|v>^2) for an unnormalized output v(theta)
+    and its derivative dv.
 
-
-def qfi_state_derivative(model: HamiltonianModel, theta: float, t: float, psi0,
-                         step=None, scalar=None) -> float:
-    """QFI from 4(<dphi|dphi> - |<dphi|phi>|^2) with a finite-difference |dphi>.
-
-    The derivative is taken on the analytically normalized state (no phase
-    fixing): the phase-fixed gauge is not differentiable in theta.
+    This is 4(<dphi|dphi> - |<phi|dphi>|^2) on phi = v/||v||, so it is
+    unchanged by v -> c v, dv -> c dv + c' v for any scalar c(theta) != 0:
+    neither the norm nor the phase of v enters.
     """
+    norm2 = np.vdot(v, v).real
+    return float(4 * (np.vdot(dv, dv).real / norm2 - abs(np.vdot(v, dv)) ** 2 / norm2 ** 2))
+
+
+def qfi_state_derivative(model: HamiltonianModel, theta: float, t: float, psi0) -> float:
+    """QFI from the derivative of the normalized output state, with the exact
+    v = U psi0 and dv = (dU/dtheta) psi0 of output_derivative."""
     psi0 = check_normalized(psi0)
-    eps = _fd_step(theta, step)
-    phi = _normalized_output(model, theta, t, psi0, scalar)
-    dphi = (_normalized_output(model, theta + eps, t, psi0, scalar)
-            - _normalized_output(model, theta - eps, t, psi0, scalar)) / (2 * eps)
-    value = 4 * (np.vdot(dphi, dphi).real - abs(np.vdot(dphi, phi)) ** 2)
-    return float(value)
+    U, dU = output_derivative(model, theta, t)
+    return qfi_from_output(U @ psi0, dU @ psi0)
 
 
 KET0_TOL = 1e-12
@@ -216,11 +206,3 @@ def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIReco
     gap = linalg.eig_decompose(h).gap
     return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,
                      I=res.K * F, gap=gap)
-
-
-def gauge_invariance_check(model: HamiltonianModel, theta: float, t: float, psi0,
-                           scalar) -> float:
-    """Relative QFI deviation when U is multiplied by scalar(theta)."""
-    base = qfi_state_derivative(model, theta, t, psi0)
-    scaled = qfi_state_derivative(model, theta, t, psi0, scalar=scalar)
-    return abs(scaled - base) / max(abs(base), 1e-300)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPositive, Singular
+from .errors import NonFinite
 
 # Eigenvector-matrix condition number beyond which a matrix is flagged
 # defective; EP-adjacent matrices must not silently produce garbage
@@ -145,43 +145,6 @@ def eig_decompose(a) -> EigenDecomposition:
     vec = vec[:, order]
     cond = float(np.linalg.cond(vec))
     return EigenDecomposition(lam, vec, defective=not cond < DEFECTIVE_COND_THRESHOLD)
-
-
-SPECTRAL_FUNCTIONS = {
-    "sqrt": np.sqrt,
-    "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
-    "inverse": lambda w: 1.0 / w,
-}
-
-HERMITICITY_TOL = 1e-10
-POSITIVITY_TOL = 1e-12
-
-
-def herm_funct(a, f: str) -> np.ndarray:
-    """Apply a spectral function (sqrt | inv_sqrt | inverse) to a Hermitian matrix."""
-    a = as_matrix(a)
-    check_finite(a, "herm_funct input")
-    if f not in SPECTRAL_FUNCTIONS:
-        raise ValueError(f"unknown spectral function {f!r}")
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if herm_residual(a) > HERMITICITY_TOL * scale:
-        raise NotHermitian(f"herm_funct input has anti-Hermitian part {herm_residual(a):.3e}")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    if w.min() <= POSITIVITY_TOL:
-        raise NotPositive(f"eigenvalue {w.min():.3e} below positivity threshold")
-    fw = SPECTRAL_FUNCTIONS[f](w)
-    out = (v * fw) @ dagger(v)
-    return (out + dagger(out)) / 2
-
-
-def mat_inverse(a) -> np.ndarray:
-    a = as_matrix(a)
-    check_finite(a, "mat_inverse input")
-    det = complex(np.linalg.det(a))
-    norm = float(np.linalg.norm(a))
-    if abs(det) <= 1e-14 * norm ** a.shape[0]:
-        raise Singular(f"matrix is singular within tolerance, |det| = {abs(det):.3e}")
-    return np.linalg.inv(a)
 
 
 def basis_state(index: int, dim: int = 2) -> np.ndarray:

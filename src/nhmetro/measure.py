@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .dynamics import evolve, expectation
 from .errors import Degenerate, NotHermitian, ZeroG
-from .fisher import _fd_step, generator_closed_form
+from .fisher import generator_closed_form
 # Unused here; perfbench/tests/test_tracer.py checks the tracer rebinds this import site.
 from .fisher import generator_quadrature  # noqa: F401
 from .models import HamiltonianModel
@@ -22,6 +22,11 @@ from .models import HamiltonianModel
 HERMITICITY_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
 ZERO_G_TOL = 1e-12
+
+
+def _fd_step(theta: float) -> float:
+    """Central-difference step of the error-propagation slope and the SLD."""
+    return 1e-5 * max(1.0, abs(theta))
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,9 @@ class OptimalityReport:
 
 
 def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
-                                psi0, A: Observable, fd_step=None) -> float:
+                                psi0, A: Observable) -> float:
     """Single-shot precision 1/(Delta theta) from the error-propagation formula."""
-    eps = _fd_step(theta, fd_step)
+    eps = _fd_step(theta)
 
     def mean_A(th):
         return expectation(evolve(model, th, t, psi0).phi_out, A.A)
@@ -89,13 +94,13 @@ def optimality_residual(model: HamiltonianModel, theta: float, t: float,
     return OptimalityReport(residual=residual, c=complex(c), c_imag_fraction=c_imag_fraction)
 
 
-def sld_operator(model: HamiltonianModel, theta: float, t: float, psi0, fd_step=None) -> np.ndarray:
+def sld_operator(model: HamiltonianModel, theta: float, t: float, psi0) -> np.ndarray:
     """Symmetric logarithmic derivative 2 d(rho)/dtheta of the pure output state.
 
     Computed as a central difference of the normalized density matrix, which
     is gauge-free by construction.
     """
-    eps = _fd_step(theta, fd_step)
+    eps = _fd_step(theta)
 
     def rho(th):
         phi = evolve(model, th, t, psi0).phi_out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nhmetro import linalg
+from nhmetro.fisher import output_derivative, qfi_from_output
 
 # Reference square-root QFI values on the standard time grids.
 SQRT_F_S = [0.4682, 0.6406, 0.7624, 0.9236, 1.1933,
@@ -54,6 +55,22 @@ def ket0():
 @pytest.fixture
 def proj0():
     return linalg.projector(linalg.basis_state(0))
+
+
+def generator_from_output(model, theta, t) -> np.ndarray:
+    """h = i (dU/dtheta) U^-1 from the exact block-exponential derivative."""
+    U, dU = output_derivative(model, theta, t)
+    return 1j * dU @ np.linalg.inv(U)
+
+
+def gauge_deviation(model, theta, t, psi0, c, dc) -> float:
+    """Relative change of the state-derivative QFI when U is multiplied by a
+    scalar c(theta) with derivative dc(theta): v -> c v, dv -> c dv + c' v."""
+    U, dU = output_derivative(model, theta, t)
+    v, dv = U @ psi0, dU @ psi0
+    base = qfi_from_output(v, dv)
+    scaled = qfi_from_output(c(theta) * v, c(theta) * dv + dc(theta) * v)
+    return abs(scaled - base) / max(abs(base), 1e-300)
 
 
 def probe_state(phi_deg: float) -> np.ndarray:

@@ -19,14 +19,14 @@ from nhmetro.dilation import build_dilation, evolve_dilated, solve_eta
 from nhmetro.dynamics import evolve, survival_probability
 from nhmetro.errors import Degenerate
 from nhmetro.estimate import run_trials
-from nhmetro.fisher import (gauge_invariance_check, generator_closed_form,
-                            generator_fd, generator_quadrature, qfi_closed_form,
+from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_closed_form,
                             qfi_generator, qfi_state_derivative)
 from nhmetro.measure import Observable, error_propagation_precision
 from nhmetro.models import hamiltonian
 
 from conftest import (BRACKETS, INV_SQRT_F_PROBE, MLE_SEED, P0_PROBE, P0_TIME,
-                      SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, T18, probe_state)
+                      SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, T18, gauge_deviation,
+                      generator_from_output, probe_state)
 
 KET0 = linalg.basis_state(0)
 PROJ0 = linalg.projector(KET0)
@@ -64,7 +64,8 @@ def test_survival_probability_reference_tables():
 
 
 def test_qfi_route_agreement():
-    # five independent QFI routes, 1e-5 relative, 30 random points per model
+    # five QFI routes (two share the exact block-exponential dU/dtheta),
+    # 1e-5 relative, 30 random points per model
     start = time.perf_counter()
     rng = np.random.default_rng(2026)
     for model, theta in [(PT_S, 1.0), (PT_ALPHA, math.pi / 4),
@@ -75,7 +76,7 @@ def test_qfi_route_agreement():
             values = [
                 qfi_generator(generator_closed_form(model, theta, t), phi),
                 qfi_generator(generator_quadrature(model, theta, t), phi),
-                qfi_generator(generator_fd(model, theta, t), phi),
+                qfi_generator(generator_from_output(model, theta, t), phi),
                 qfi_state_derivative(model, theta, t, KET0),
             ]
             if model.family in ("pt", "kappa"):
@@ -159,12 +160,16 @@ def test_dilation_equivalence():
 
 
 def test_gauge_invariance():
+    # U -> c(theta) U leaves the state-derivative QFI unchanged
     def scalar(theta):
         return (1 + theta ** 2) * np.exp(3j * theta)
 
+    def d_scalar(theta):
+        return (2 * theta + 3j * (1 + theta ** 2)) * np.exp(3j * theta)
+
     for model, theta in [(PT_S, 1.0), (PT_ALPHA, math.pi / 4),
                          (KAPPA, 2.0), (ep_demo_model(0.6), 0.6)]:
-        dev = gauge_invariance_check(model, theta, 1.3, KET0, scalar)
+        dev = gauge_deviation(model, theta, 1.3, KET0, scalar, d_scalar)
         assert dev < 1e-6, (model.family, model.estimated_param)
 
 

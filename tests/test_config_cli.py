@@ -9,7 +9,7 @@ from nhmetro import cli, ep_demo_model, estimate, fisher, linalg
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
 from nhmetro.dynamics import evolve
-from nhmetro.errors import ConfigError, NotNormalized
+from nhmetro.errors import ConfigError, NotNormalized, OutOfRange
 from nhmetro.fisher import qfi_generator
 
 from conftest import SQRT_F_S
@@ -130,21 +130,40 @@ class TestCliQfi:
                      "--out", str(out), "--quiet"]) == 0
         assert len(calls) == 10
 
-    def test_failed_cross_check_keeps_the_row(self, tmp_path, capsys):
-        # 5.2e-6 below the EP at pi/4: the finite-difference routes step past
-        # it and raise OutOfRange, while the production F is valid
-        alpha = 0.785393
+    NEAR_EP_ALPHA = 0.785393  # 5.2e-6 below the ep_demo EP at pi/4
+
+    def near_ep_rows(self, tmp_path, capsys):
+        """Run qfi next to the EP; (exit code, stderr, rows)."""
         doc = base_config(
-            model={"family": "ep_demo", "params": {"alpha": alpha}, "estimated_param": "alpha"},
+            model={"family": "ep_demo", "params": {"alpha": self.NEAR_EP_ALPHA},
+                   "estimated_param": "alpha"},
             time_grid={"start": 1.0, "stop": 10.0, "steps": 4})
         out = tmp_path / "ep.csv"
-        assert main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("cross-check") == 4 and "exit 3" not in err
+        code = main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)])
         lines = out.read_text().split("\n")
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+        return code, capsys.readouterr().err, rows
+
+    def test_exact_cross_check_next_to_the_ep(self, tmp_path, capsys):
+        # the exact derivative takes no step in theta, so it cannot cross the EP
+        code, err, rows = self.near_ep_rows(tmp_path, capsys)
+        assert code == 0 and "cross-check" not in err
         assert len(rows) == 4
+        for row in rows:
+            assert 0.0 <= float(row["route_deviation"]) <= 1e-10
+            assert row["F_closed_form"] == "nan"
+
+    def test_failed_cross_check_keeps_the_row(self, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise OutOfRange("theta + eps is past the EP")
+
+        monkeypatch.setattr(cli, "qfi_state_derivative", failing)
+        code, err, rows = self.near_ep_rows(tmp_path, capsys)
+        assert code == 0
+        assert err.count("cross-check") == 4 and "exit 3" not in err
+        assert len(rows) == 4
+        alpha = self.NEAR_EP_ALPHA
         model = ep_demo_model(alpha)
         for row in rows:
             assert row["route_deviation"] == "nan" and row["F_closed_form"] == "nan"

@@ -90,8 +90,12 @@ class TestBuildDilation:
             assert np.linalg.eigvalsh(sys_.zeta).min() > 1e-10
             for mat in (sys_.H_s, sys_.V, sys_.H_tot):
                 assert linalg.herm_residual(mat) < 1e-9
-            z_half = linalg.herm_funct(sys_.zeta, "sqrt")
-            z_mhalf = linalg.herm_funct(sys_.zeta, "inv_sqrt")
+            z_half = sys_.z_half
+            assert linalg.herm_residual(z_half) == 0.0
+            assert np.linalg.eigvalsh(z_half).min() > 0
+            zeta_norm = np.linalg.norm(sys_.zeta)
+            assert np.linalg.norm(z_half @ z_half - sys_.zeta) <= 1e-12 * zeta_norm
+            z_mhalf = np.linalg.inv(z_half)
             assert np.linalg.norm(sys_.H_s - 1j * sys_.V @ z_half - H) < 1e-8
             assert np.linalg.norm(sys_.H_s + 1j * sys_.V @ z_mhalf
                                   - z_half @ H @ z_mhalf) < 1e-8

@@ -7,13 +7,13 @@ import pytest
 from nhmetro import fisher, linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.dynamics import evolve
 from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized, Unconverged,
-                            UnsupportedFamily, UnsupportedProbe, ZeroScalar)
-from nhmetro.fisher import (gauge_invariance_check, generator_closed_form, generator_fd,
-                            generator_quadrature, qfi_closed_form, qfi_generator,
-                            qfi_record, qfi_state_derivative)
+                            UnsupportedFamily, UnsupportedProbe)
+from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_closed_form,
+                            qfi_generator, qfi_record, qfi_state_derivative)
 from nhmetro.models import d_hamiltonian
 
-from conftest import SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S
+from conftest import (SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, gauge_deviation,
+                      generator_from_output)
 
 
 def h_alpha_closed_form(s, alpha, t):
@@ -147,22 +147,22 @@ class TestGeneratorClosedForm:
                 assert abs(got - exact) <= 1e-15 * abs(exact), x
 
 
-class TestGeneratorFd:
+class TestOutputDerivative:
     def test_commuting_hamiltonian(self):
         m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
         t = 1.7
-        assert np.linalg.norm(generator_fd(m, 1.0, t) - (t / 2) * linalg.SIGMA_Z) < 1e-8
+        assert np.linalg.norm(generator_from_output(m, 1.0, t) - (t / 2) * linalg.SIGMA_Z) < 1e-14
 
     def test_agrees_with_quadrature(self):
         m = pt_model(1.0, math.pi / 4, "s")
         t = math.pi / 8
-        fd = generator_fd(m, 1.0, t)
+        h = generator_from_output(m, 1.0, t)
         quad = generator_quadrature(m, 1.0, t)
-        assert np.linalg.norm(fd - quad) < 1e-7
+        assert np.linalg.norm(h - quad) < 1e-13
 
     def test_kappa_closed_form_entrywise(self):
-        h = generator_fd(kappa_model(2.0), 2.0, math.pi / 6)
-        assert np.abs(h - h_kappa_closed_form(2.0, math.pi / 6)).max() < 1e-7
+        h = generator_from_output(kappa_model(2.0), 2.0, math.pi / 6)
+        assert np.abs(h - h_kappa_closed_form(2.0, math.pi / 6)).max() < 1e-13
 
 
 class TestQfiGenerator:
@@ -281,7 +281,7 @@ class TestRoutes:
                 phi = evolve(m, th, t, ket0).phi_out
                 values = [qfi_generator(generator_closed_form(m, th, t), phi),
                           qfi_generator(generator_quadrature(m, th, t), phi),
-                          qfi_generator(generator_fd(m, th, t), phi),
+                          qfi_generator(generator_from_output(m, th, t), phi),
                           qfi_state_derivative(m, th, t, ket0)]
                 if m.family in ("pt", "kappa"):
                     values.append(qfi_closed_form(m, th, t))
@@ -318,24 +318,20 @@ class TestRecordAndScaledInfo:
 
 class TestGaugeInvariance:
     def test_unit_scalar(self, ket0):
-        dev = gauge_invariance_check(pt_model(1.0, math.pi / 4, "s"), 1.0, 1.0, ket0,
-                                     lambda th: 1.0)
+        dev = gauge_deviation(pt_model(1.0, math.pi / 4, "s"), 1.0, 1.0, ket0,
+                              lambda th: 1.0, lambda th: 0.0)
         assert dev < 1e-12
 
     def test_real_constant(self, ket0):
-        dev = gauge_invariance_check(pt_model(1.0, math.pi / 4, "s"), 1.0, 1.0, ket0,
-                                     lambda th: 2.0)
-        assert dev < 1e-10
+        dev = gauge_deviation(pt_model(1.0, math.pi / 4, "s"), 1.0, 1.0, ket0,
+                              lambda th: 2.0, lambda th: 0.0)
+        assert dev < 1e-12
 
     def test_theta_dependent_phase(self, ket0):
-        dev = gauge_invariance_check(pt_model(1.0, math.pi / 4, "alpha"), math.pi / 4,
-                                     math.pi, ket0, lambda th: np.exp(1j * th))
-        assert dev < 1e-6
-
-    def test_zero_scalar(self, ket0):
-        with pytest.raises(ZeroScalar):
-            gauge_invariance_check(pt_model(1.0, math.pi / 4, "s"), 1.0, 1.0, ket0,
-                                   lambda th: 0.0)
+        dev = gauge_deviation(pt_model(1.0, math.pi / 4, "alpha"), math.pi / 4,
+                              math.pi, ket0, lambda th: np.exp(1j * th),
+                              lambda th: 1j * np.exp(1j * th))
+        assert dev < 1e-12
 
 
 class TestHeisenbergScaling:

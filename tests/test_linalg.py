@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhmetro import linalg, pt_model, kappa_model
-from nhmetro.errors import NonFinite, NotHermitian, NotPositive, Singular
-from nhmetro.models import closed_form_U, hamiltonian
+from nhmetro.errors import NonFinite
+from nhmetro.models import hamiltonian
 
 
 class TestMatExp:
@@ -108,46 +108,3 @@ class TestEigDecompose:
     def test_defective_flag(self):
         ed = linalg.eig_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert ed.defective
-
-
-class TestHermFunct:
-    def test_sqrt_identity(self):
-        assert np.allclose(linalg.herm_funct(np.eye(2), "sqrt"), np.eye(2))
-
-    def test_sqrt_diagonal(self):
-        got = linalg.herm_funct(np.diag([4.0, 9.0]), "sqrt")
-        assert np.allclose(got, np.diag([2.0, 3.0]))
-
-    def test_sqrt_squares_back(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            pos = a @ linalg.dagger(a) + 0.1 * np.eye(2)
-            root = linalg.herm_funct(pos, "sqrt")
-            assert np.linalg.norm(root @ root - pos) < 1e-9 * np.linalg.norm(pos)
-            assert linalg.herm_residual(root) < 1e-10
-
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.herm_funct(np.array([[0.0, 1.0], [0.0, 0.0]]), "sqrt")
-
-    def test_not_positive(self):
-        with pytest.raises(NotPositive):
-            linalg.herm_funct(np.diag([1.0, -1.0]), "inv_sqrt")
-
-
-class TestMatInverse:
-    def test_identity(self):
-        assert np.allclose(linalg.mat_inverse(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        assert np.allclose(linalg.mat_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_evolution_operator(self):
-        m = pt_model(1.0, math.pi / 4)
-        U = closed_form_U(m, 1.0, math.pi / 8)
-        assert np.linalg.norm(linalg.mat_inverse(U) @ U - np.eye(2)) < 1e-10
-
-    def test_singular(self):
-        with pytest.raises(Singular):
-            linalg.mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -1,0 +1,89 @@
+"""The exact derivative route against a 40-digit reference.
+
+`fisher.output_derivative` takes U = exp(-itH) and dU/dtheta from one
+float64 exponential of the 4x4 block [[H, dH], [0, H]]. The reference
+exponentiates the same block, built from the same float64 H and dH, with
+`mpmath.expm` at 40 significant digits, so the comparison measures the
+kernel and not the model's rounding. mpmath is a test dependency only.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro.fisher import output_derivative, qfi_closed_form, qfi_state_derivative
+from nhmetro.models import d_hamiltonian, hamiltonian
+
+ORACLE_DPS = 40
+# Largest relative error over these points: 8.7e-14 away from the EP,
+# 5.3e-13 next to it (1e-4 from it, t = 50).
+U_REL_TOL = 1e-11
+# Largest relative error against the closed forms over these 300 points:
+# 6.5e-12 (1.3e-11 over 900 other random points, at alpha = 1.48, t = 30).
+F_REL_TOL = 1e-10
+TIMES = (0.0, 0.7, 5.0, 20.0, 50.0)
+EP_DISTANCES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+def oracle(model, theta, t):
+    """(U, dU/dtheta) from a 40-digit exponential of the 4x4 block."""
+    H, dH = hamiltonian(model, theta), d_hamiltonian(model, theta)
+    with mpmath.workdps(ORACLE_DPS):
+        block = mpmath.matrix(4, 4)
+        for i in range(2):
+            for j in range(2):
+                block[i, j] = block[i + 2, j + 2] = mpmath.mpc(H[i, j])
+                block[i, j + 2] = mpmath.mpc(dH[i, j])
+        E = mpmath.expm(-1j * mpmath.mpf(t) * block)
+        U = np.array([[complex(E[i, j]) for j in range(2)] for i in range(2)])
+        dU = np.array([[complex(E[i, j + 2]) for j in range(2)] for i in range(2)])
+    return U, dU
+
+
+def family_points(family, rng):
+    """One random (model, theta) pair of a family, in its unbroken regime."""
+    s, alpha = rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.4)
+    kappa, a_ep = rng.uniform(0.2, 4.0), rng.uniform(0.05, 0.75)
+    return {"pt_s": (pt_model(s, alpha, "s"), s),
+            "pt_alpha": (pt_model(s, alpha, "alpha"), alpha),
+            "kappa": (kappa_model(kappa), kappa),
+            "ep_demo": (ep_demo_model(a_ep), a_ep)}[family]
+
+
+def oracle_points(regime):
+    if regime == "ep_demo_near_ep":
+        return [(ep_demo_model(math.pi / 4 - delta), math.pi / 4 - delta, t)
+                for delta in EP_DISTANCES for t in (0.0, 1.0, 10.0, 50.0)]
+    rng = np.random.default_rng(1978)
+    return [(*family_points(regime, rng), t) for t in TIMES for _ in range(2)]
+
+
+def rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("regime", ["pt_s", "pt_alpha", "kappa", "ep_demo", "ep_demo_near_ep"])
+def test_output_derivative_matches_oracle(regime):
+    for model, theta, t in oracle_points(regime):
+        U, dU = output_derivative(model, theta, t)
+        if t == 0:
+            assert np.array_equal(U, np.eye(2)) and not dU.any()
+            continue
+        U_ref, dU_ref = oracle(model, theta, t)
+        assert rel_err(U, U_ref) <= U_REL_TOL, (theta, t)
+        assert rel_err(dU, dU_ref) <= U_REL_TOL, (theta, t)
+
+
+@pytest.mark.parametrize("family", ["pt_s", "pt_alpha", "kappa"])
+def test_state_derivative_matches_closed_form(family):
+    rng = np.random.default_rng(395)
+    ket0 = linalg.basis_state(0)
+    for _ in range(100):
+        model, theta = family_points(family, rng)
+        t = rng.uniform(0.05, 50.0)
+        exact = qfi_closed_form(model, theta, t, ket0)
+        got = qfi_state_derivative(model, theta, t, ket0)
+        assert abs(got - exact) <= F_REL_TOL * exact, (theta, t)

@@ -17,3 +17,33 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(MODULES) > 1
     assert found == []
+
+
+def test_no_unused_imports():
+    # The package has no linter: an import whose name the module never reads
+    # is dead code. Lines marked `# noqa: F401` are kept on purpose.
+    unused = []
+    for path in MODULES:
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if "# noqa: F401" in lines[node.end_lineno - 1]:
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used | exported]
+    assert unused == []
