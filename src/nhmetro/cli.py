@@ -1,18 +1,23 @@
 """Declarative experiment runner.
 
-Subcommands: qfi | estimate | optimal | dilate | validate. Each run is
-described by a JSON config and emits a CSV (12 significant digits, '\\n'
-line endings) that is byte-identical across runs for the same (config, seed).
+Usage: nhmetro {qfi,estimate,optimal,dilate,validate} --config PATH
+[--seed N] [--out PATH] [--quiet]. Each run is described by a JSON config
+and emits a CSV (12 significant digits, '\\n' line endings) that is
+byte-identical across runs for the same (config, seed). `validate` only
+loads the config, which checks every value and the model's parameter range.
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 partial (some rows
-failed; completed rows are flushed).
+Exit codes: 0 ok, 1 config error (a malformed or out-of-range config value,
+or an output file that cannot be written), 2 numerical failure, 3 partial
+(some rows failed; completed rows are flushed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,35 +39,26 @@ EXIT_PARTIAL = 3
 def _fmt(value) -> str:
     if value is None:
         return "nan"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return format(float(value), ".12g")
 
 
-class CsvWriter:
-    """Row-by-row CSV writer; completed rows survive a partial failure."""
+@contextlib.contextmanager
+def _csv_rows(path, header):
+    """Open path, write the header and yield row(values). Every row is
+    flushed, so completed rows survive a partial failure."""
+    with open(path, "w", newline="") as handle:
+        def row(values):
+            handle.write(",".join(map(_fmt, values)) + "\n")
+            handle.flush()
 
-    def __init__(self, path, header):
-        self.handle = open(path, "w", newline="") if path else None
-        self._write_line(",".join(header))
-
-    def _write_line(self, line):
-        if self.handle is not None:
-            self.handle.write(line + "\n")
-            self.handle.flush()
-
-    def row(self, values):
-        self._write_line(",".join(_fmt(v) for v in values))
-
-    def close(self):
-        if self.handle is not None:
-            self.handle.close()
+        row(header)
+        yield row
 
 
 def _route_deviation(values) -> float:
     values = [v for v in values if v is not None]
-    if len(values) < 2:
-        return 0.0
     scale = max(abs(v) for v in values)
     if scale == 0.0:
         return 0.0
@@ -79,17 +75,16 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
-    writer = CsvWriter(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
-                                  "F_closed_form", "route_deviation"])
     theta = cfg.model.true_value
     partial = False
-    try:
+    with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
+                              "F_closed_form", "route_deviation"]) as row:
         for t in cfg.time_grid.linspace():
             try:
                 rec = qfi_record(cfg.model, theta, float(t), cfg.probe)
             except NumericsError as exc:
                 log(f"t={t}: {exc}")
-                writer.row([t, None, None, None, None, None, None, None, None])
+                row([t, None, None, None, None, None, None, None, None])
                 partial = True
                 continue
             try:
@@ -103,10 +98,8 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
                 deviation = _route_deviation([rec.F, f_state, f_closed])
             except NumericsError as exc:
                 log(f"t={t}: cross-check {exc}")
-            writer.row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
-                        math.sqrt(max(rec.I, 0.0)), rec.gap, f_closed, deviation])
-    finally:
-        writer.close()
+            row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
+                 math.sqrt(max(rec.I, 0.0)), rec.gap, f_closed, deviation])
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -114,46 +107,42 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     if cfg.estimation is None:
         raise ConfigError("estimation", "required for the estimate subcommand")
     sweep_name, points = _sweep_points(cfg)
-    writer = CsvWriter(out_path, [sweep_name, "p0", "precision", "precision_err",
-                                  "mean_estimate", "bias_pct", "failed_trials"])
-    trials_writer = CsvWriter(out_path + ".trials.csv" if out_path else None,
-                              [sweep_name, "trial", "estimate"])
     theta = cfg.model.true_value
     spec = cfg.estimation
     partial = False
-    try:
+    with (_csv_rows(out_path, [sweep_name, "p0", "precision", "precision_err",
+                               "mean_estimate", "bias_pct", "failed_trials"]) as row,
+          _csv_rows(out_path + ".trials.csv", [sweep_name, "trial", "estimate"]) as trial_row):
         for idx, (sweep_value, probe, t) in enumerate(points):
             p0 = None
             try:
                 p0 = survival_probability(evolve(cfg.model, theta, t, probe), cfg.measurement)
+                # one bracket for the whole sweep, or one per point
+                bracket = spec.bracket[idx if len(spec.bracket) > 1 else 0]
                 run = run_trials(cfg.model, theta, t, probe, cfg.measurement,
-                                 spec.n, spec.trials, spec.seed, spec.bracket[idx])
+                                 spec.n, spec.trials, spec.seed, bracket)
                 if run.non_monotone_scan:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")
                 bias_pct = 100.0 * (run.mean - theta) / theta
-                writer.row([sweep_value, p0, run.precision, run.precision_err,
-                            run.mean, bias_pct, run.failed_trials])
+                row([sweep_value, p0, run.precision, run.precision_err,
+                     run.mean, bias_pct, run.failed_trials])
                 for k, est in enumerate(run.estimates):
-                    trials_writer.row([sweep_value, k, est])
+                    trial_row([sweep_value, k, est])
             except (AllTrialsFailed, NumericsError) as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                writer.row([sweep_value, p0, None, None, None, None, spec.trials])
+                row([sweep_value, p0, None, None, None, None, spec.trials])
                 partial = True
-    finally:
-        writer.close()
-        trials_writer.close()
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
     sweep_name, points = _sweep_points(cfg)
-    writer = CsvWriter(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
-                                  "precision_ep", "sqrtF"])
     theta = cfg.model.true_value
-    observable = measure.Observable(cfg.measurement, "configured")
     partial = False
-    try:
+    with _csv_rows(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
+                              "precision_ep", "sqrtF"]) as row:
+        observable = measure.Observable(cfg.measurement, "configured")
         for sweep_value, probe, t in points:
             try:
                 res = evolve(cfg.model, theta, t, probe)
@@ -174,26 +163,23 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
                     # Flagged, not dropped: the paper's own tables have blank
                     # entries at probability extrema.
                     precision = None
-                writer.row([sweep_value, residual, c_real, c_imag, precision, sqrt_f])
+                row([sweep_value, residual, c_real, c_imag, precision, sqrt_f])
             except NumericsError as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                writer.row([sweep_value, None, None, None, None, None])
+                row([sweep_value, None, None, None, None, None])
                 partial = True
-    finally:
-        writer.close()
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
-    writer = CsvWriter(out_path, ["t", "fidelity", "success_prob", "norm_drift",
-                                  "eta_residual"])
     theta = cfg.model.true_value
-    H = hamiltonian(cfg.model, theta)
-    sys_ = dilation.build_dilation(H)
-    eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
     norm0 = None
     partial = False
-    try:
+    with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
+                              "eta_residual"]) as row:
+        H = hamiltonian(cfg.model, theta)
+        sys_ = dilation.build_dilation(H)
+        eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
         for t in cfg.time_grid.linspace():
             try:
                 Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, float(t))
@@ -203,13 +189,11 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
                 drift = abs(total - norm0) / norm0
                 direct = evolve(cfg.model, theta, float(t), cfg.probe)
                 fidelity = abs(np.vdot(recovered, direct.phi_out))
-                writer.row([t, fidelity, success, drift, eta_residual])
+                row([t, fidelity, success, drift, eta_residual])
             except NumericsError as exc:
                 log(f"t={t}: {exc}")
-                writer.row([t, None, None, None, eta_residual])
+                row([t, None, None, None, eta_residual])
                 partial = True
-    finally:
-        writer.close()
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -225,14 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhmetro",
         description="Simulate parameter estimation under non-Hermitian dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*COMMANDS, "validate"]:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config's estimation seed")
-        cmd.add_argument("--out", default=None, help="override the config's csv_path")
-        cmd.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=[*COMMANDS, "validate"])
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config's estimation seed")
+    parser.add_argument("--out", default=None, help="override the config's csv_path")
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -246,7 +228,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None and cfg.estimation is not None:
-            from dataclasses import replace
+            if args.seed < 0:
+                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
             cfg = replace(cfg, estimation=replace(cfg.estimation, seed=args.seed))
         if args.command == "validate":
             log(f"{args.config}: ok")
@@ -257,6 +240,9 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](cfg, out_path, log)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

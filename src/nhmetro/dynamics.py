@@ -24,9 +24,9 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def check_normalized(v, tol=NORMALIZATION_TOL) -> np.ndarray:
+def check_normalized(v) -> np.ndarray:
     v = linalg.as_vector(v)
-    if abs(np.vdot(v, v).real - 1.0) >= tol:
+    if abs(np.vdot(v, v).real - 1.0) >= NORMALIZATION_TOL:
         raise NotNormalized(f"vector norm^2 deviates from 1 by {abs(np.vdot(v, v).real - 1.0):.3e}")
     return v
 
@@ -71,14 +71,14 @@ def evolve(model: HamiltonianModel, theta, t: float, psi0) -> EvolutionResult:
     return EvolutionResult(U=U, psi_out_raw=raw, phi_out=phi, K=K)
 
 
-def check_projector(A, tol=PROJECTOR_TOL) -> np.ndarray:
+def check_projector(A) -> np.ndarray:
     """Validate a rank-1 Hermitian projector."""
     A = linalg.as_matrix(A)
-    if linalg.herm_residual(A) > tol:
-        raise NotProjector(f"not Hermitian within {tol:g}")
-    if np.linalg.norm(A @ A - A) > tol:
-        raise NotProjector(f"not idempotent within {tol:g}")
-    if abs(np.trace(A).real - 1.0) > tol:
+    if linalg.herm_residual(A) > PROJECTOR_TOL:
+        raise NotProjector(f"not Hermitian within {PROJECTOR_TOL:g}")
+    if np.linalg.norm(A @ A - A) > PROJECTOR_TOL:
+        raise NotProjector(f"not idempotent within {PROJECTOR_TOL:g}")
+    if abs(np.trace(A).real - 1.0) > PROJECTOR_TOL:
         raise NotProjector("not rank-1 (trace != 1)")
     return A
 

@@ -67,8 +67,9 @@ class ZetaNotPositive(NumericsError):
 
 
 class ConfigError(Exception):
-    """Invalid experiment config; the message starts with the offending field path."""
+    """Invalid experiment config; the message starts with the offending field
+    path, if the fault has one."""
 
     def __init__(self, field, message):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)

@@ -118,27 +118,31 @@ def output_derivative(model: HamiltonianModel, theta: float, t: float):
 
 
 def qfi_generator(h, phi) -> float:
-    """Generalized variance form: 4(<h^dag h> - <h^dag><h>) over a normalized state."""
+    """Generalized variance 4(<h^dag h> - <h^dag><h>) over a normalized state,
+    taken as 4||(h - <h>) phi||^2: no difference of nearly equal terms, so F
+    keeps its relative accuracy as t -> 0."""
     h = linalg.as_matrix(h)
     phi = check_normalized(phi)
     hphi = h @ phi
-    mean = np.vdot(phi, hphi)
-    value = 4 * (np.vdot(hphi, hphi) - mean.conjugate() * mean)
+    f = hphi - np.vdot(phi, hphi) * phi
+    value = 4 * np.vdot(f, f)
     if not abs(value.imag) < IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(f"QFI imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
 def qfi_from_output(v, dv) -> float:
-    """4(<dv|dv>/<v|v> - |<v|dv>|^2/<v|v>^2) for an unnormalized output v(theta)
+    """4||dv - (<v|dv>/<v|v>) v||^2/<v|v> for an unnormalized output v(theta)
     and its derivative dv.
 
     This is 4(<dphi|dphi> - |<phi|dphi>|^2) on phi = v/||v||, so it is
     unchanged by v -> c v, dv -> c dv + c' v for any scalar c(theta) != 0:
-    neither the norm nor the phase of v enters.
+    neither the norm nor the phase of v enters. Projecting out v first
+    cancels nothing, so F keeps its relative accuracy as t -> 0.
     """
     norm2 = np.vdot(v, v).real
-    return float(4 * (np.vdot(dv, dv).real / norm2 - abs(np.vdot(v, dv)) ** 2 / norm2 ** 2))
+    perp = dv - (np.vdot(v, dv) / norm2) * v
+    return float(4 * np.vdot(perp, perp).real / norm2)
 
 
 def qfi_state_derivative(model: HamiltonianModel, theta: float, t: float, psi0) -> float:

@@ -25,8 +25,15 @@ ZERO_G_TOL = 1e-12
 
 
 def _fd_step(theta: float) -> float:
-    """Central-difference step of the error-propagation slope and the SLD."""
+    """Central-difference step of the error-propagation slope."""
     return 1e-5 * max(1.0, abs(theta))
+
+
+def _output_and_f(model: HamiltonianModel, theta: float, t: float, psi0):
+    """The normalized output state phi and f = (h - <h>) phi."""
+    phi = evolve(model, theta, t, psi0).phi_out
+    hphi = generator_closed_form(model, theta, t) @ phi
+    return phi, hphi - np.vdot(phi, hphi) * phi
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,7 @@ def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
 def optimality_residual(model: HamiltonianModel, theta: float, t: float,
                         psi0, A: Observable) -> OptimalityReport:
     """Least-squares fit of |f> = i c |g> on the normalized output state."""
-    res = evolve(model, theta, t, psi0)
-    phi = res.phi_out
-    h = generator_closed_form(model, theta, t)
-    f = h @ phi - np.vdot(phi, h @ phi) * phi
+    phi, f = _output_and_f(model, theta, t, psi0)
     g = A.A @ phi - expectation(phi, A.A) * phi
     g_norm2 = float(np.vdot(g, g).real)
     if g_norm2 <= ZERO_G_TOL ** 2:
@@ -97,14 +101,9 @@ def optimality_residual(model: HamiltonianModel, theta: float, t: float,
 def sld_operator(model: HamiltonianModel, theta: float, t: float, psi0) -> np.ndarray:
     """Symmetric logarithmic derivative 2 d(rho)/dtheta of the pure output state.
 
-    Computed as a central difference of the normalized density matrix, which
-    is gauge-free by construction.
+    Exact: d|phi> = -i f + (i beta) |phi> with f = (h - <h>) phi and a real
+    beta that drops out of d(rho), so L = 2i(|phi><f| - |f><phi|); then
+    Tr(rho L^2) = 4||f||^2 = F.
     """
-    eps = _fd_step(theta)
-
-    def rho(th):
-        phi = evolve(model, th, t, psi0).phi_out
-        return linalg.projector(phi)
-
-    L = (rho(theta + eps) - rho(theta - eps)) / eps
-    return (L + linalg.dagger(L)) / 2
+    phi, f = _output_and_f(model, theta, t, psi0)
+    return 2j * (np.outer(phi, f.conj()) - np.outer(f, phi.conj()))

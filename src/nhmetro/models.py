@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import OutOfRange, UnsupportedFamily
 
-FAMILIES = ("pt", "kappa", "ep_demo", "custom")
+# Parameters of each catalog family, in config order; a family with one
+# parameter always estimates it.
+PARAMS = {"pt": ("s", "alpha"), "kappa": ("kappa",), "ep_demo": ("alpha",)}
+FAMILIES = (*PARAMS, "custom")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import cli, ep_demo_model, estimate, fisher, linalg
 from nhmetro.cli import main
@@ -369,3 +372,109 @@ class TestCliErrors:
         main(["qfi", "--config", cfg, "--out", str(out), "--quiet"])
         f_text = out.read_text().split("\n")[1].split(",")[1]
         assert len(f_text.replace(".", "").replace("-", "").lstrip("0")) >= 11
+
+
+def kappa_doc(kappa):
+    return {"family": "kappa", "params": {"kappa": kappa}, "estimated_param": "kappa"}
+
+
+def ep_demo_doc(alpha):
+    return {"family": "ep_demo", "params": {"alpha": alpha}, "estimated_param": "alpha"}
+
+
+ESTIMATION = {"n": 100, "trials": 2, "seed": 1, "bracket": [0.5, 1.5]}
+
+# (config overrides, the field the error must name). Each used to end in a
+# traceback or pass `validate`.
+MALFORMED = {
+    "amplitude_too_short": ({"probe": {"amplitudes": [[1.0], 0]}}, "probe.amplitudes[0]"),
+    "amplitude_string": ({"probe": {"amplitudes": ["a", 0]}}, "probe.amplitudes[0]"),
+    "amplitude_too_long": ({"probe": {"amplitudes": [[1, 2, 3], 0]}}, "probe.amplitudes[0]"),
+    "kappa_string": ({"model": kappa_doc("abc")}, "model.params.kappa"),
+    "kappa_null": ({"model": kappa_doc(None)}, "model.params.kappa"),
+    "kappa_negative": ({"model": kappa_doc(-1)}, "model"),
+    "ep_demo_alpha_string": ({"model": ep_demo_doc("abc")}, "model.params.alpha"),
+    "ep_demo_alpha_past_ep": ({"model": ep_demo_doc(0.8)}, "model"),
+    "pt_alpha_out_of_range": ({"model": {"family": "pt", "params": {"s": 1.0, "alpha": 2},
+                                         "estimated_param": "s"}}, "model"),
+    "bracket_string": ({"estimation": dict(ESTIMATION, bracket=["a", 1])},
+                       "estimation.bracket[0]"),
+    "probe_sweep_not_an_object": ({"probe_sweep": 3}, "probe_sweep"),
+    "nan_time": ({"time_grid": {"start": math.nan, "stop": 1.0, "steps": 2}},
+                 "time_grid.start"),
+}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 1 with `config error: <field>`, no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_config_error_names_the_field(self, case, tmp_path, capsys):
+        overrides, field = MALFORMED[case]
+        cfg = write_config(tmp_path, base_config(**overrides))
+        assert main(["validate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["qfi", "--config", cfg, "--out", str(tmp_path / "no" / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output: ") and "Traceback" not in err
+
+    def test_unwritable_trials_file(self, tmp_path, capsys):
+        # the trials file cannot open after the main CSV did
+        cfg = write_config(tmp_path, base_config(
+            time_grid={"start": 1.0, "stop": 1.0, "steps": 1}, estimation=ESTIMATION))
+        (tmp_path / "est.csv.trials.csv").mkdir()
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: output: ")
+        assert (tmp_path / "est.csv").read_text().startswith("t,p0,")
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(estimation=ESTIMATION))
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --seed: ")
+
+    def test_unreadable_config_has_no_empty_field(self, tmp_path, capsys):
+        assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+
+# Any JSON value: what a config field can be replaced with.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=5)
+
+
+def shipped_config(name):
+    with open(os.path.join(CONFIG_DIR, name)) as handle:
+        return json.load(handle)
+
+
+def field_paths(doc, prefix=()):
+    """The path of every object member and list item in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_one_changed_field_parses_or_is_a_config_error(data):
+    doc = shipped_config(data.draw(st.sampled_from(sorted(os.listdir(CONFIG_DIR)))))
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    container = reduce(lambda node, key: node[key], path[:-1], doc)
+    if data.draw(st.booleans()):
+        del container[path[-1]]
+    else:
+        container[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass

@@ -1,10 +1,12 @@
-"""The exact derivative route against a 40-digit reference.
+"""The exact derivative route and both QFI routes against 40-digit references.
 
 `fisher.output_derivative` takes U = exp(-itH) and dU/dtheta from one
 float64 exponential of the 4x4 block [[H, dH], [0, H]]. The reference
 exponentiates the same block, built from the same float64 H and dH, with
 `mpmath.expm` at 40 significant digits, so the comparison measures the
-kernel and not the model's rounding. mpmath is a test dependency only.
+kernel and not the model's rounding. The QFI at small t is compared with
+the catalog closed forms evaluated at 40 digits. mpmath is a test
+dependency only.
 """
 
 import math
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
-from nhmetro.fisher import output_derivative, qfi_closed_form, qfi_state_derivative
+from nhmetro.fisher import (output_derivative, qfi_closed_form, qfi_record,
+                            qfi_state_derivative)
 from nhmetro.models import d_hamiltonian, hamiltonian
 
 ORACLE_DPS = 40
@@ -24,7 +27,12 @@ U_REL_TOL = 1e-11
 # Largest relative error against the closed forms over these 300 points:
 # 6.5e-12 (1.3e-11 over 900 other random points, at alpha = 1.48, t = 30).
 F_REL_TOL = 1e-10
+# Largest relative error of either route over the small-t points: 2.5e-15.
+# Both routes erred by up to 3.2e-4 at t = 1e-6 while F was taken as a
+# difference of nearly equal numbers.
+SMALL_T_REL_TOL = 1e-13
 TIMES = (0.0, 0.7, 5.0, 20.0, 50.0)
+SMALL_TIMES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 EP_DISTANCES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
@@ -87,3 +95,38 @@ def test_state_derivative_matches_closed_form(family):
         exact = qfi_closed_form(model, theta, t, ket0)
         got = qfi_state_derivative(model, theta, t, ket0)
         assert abs(got - exact) <= F_REL_TOL * exact, (theta, t)
+
+
+def closed_form_oracle(model, t):
+    """The catalog closed-form QFI for the probe |0> at 40 digits."""
+    p = {k: mpmath.mpf(v) for k, v in model.params.items()}
+    with mpmath.workdps(ORACLE_DPS):
+        t = mpmath.mpf(t)
+        if model.family == "kappa":
+            kappa = p["kappa"]
+            x = t * mpmath.sqrt(kappa)
+            return ((-2 * x + mpmath.sin(2 * x)) ** 2
+                    / (4 * kappa * (kappa * mpmath.cos(x) ** 2 + mpmath.sin(x) ** 2) ** 2))
+        s, alpha = p["s"], p["alpha"]
+        if model.estimated_param == "s":
+            den = -1 + mpmath.sin(alpha) * mpmath.sin(alpha - 2 * s * t * mpmath.cos(alpha))
+            return 4 * t * t * mpmath.cos(alpha) ** 4 / den ** 2
+        sec = 1 / mpmath.cos(alpha)
+        x = alpha - 2 * s * t * mpmath.cos(alpha)
+        num = 1 - sec * mpmath.cos(x) + 2 * s * t * mpmath.sin(alpha)
+        return (num / (sec - mpmath.sin(x) * mpmath.tan(alpha))) ** 2
+
+
+@pytest.mark.parametrize("family", ["pt_s", "pt_alpha", "kappa"])
+def test_both_routes_keep_relative_accuracy_as_t_goes_to_0(family):
+    # F vanishes as t^2 (pt_s) or t^6 (kappa); a route that subtracts two
+    # terms of order F/t^k loses k digits of F per decade of t.
+    rng = np.random.default_rng(1996)
+    ket0 = linalg.basis_state(0)
+    for _ in range(3):
+        model, theta = family_points(family, rng)
+        for t in SMALL_TIMES:
+            exact = float(closed_form_oracle(model, t))
+            for got in (qfi_record(model, theta, t, ket0).F,
+                        qfi_state_derivative(model, theta, t, ket0)):
+                assert abs(got - exact) <= SMALL_T_REL_TOL * exact, (theta, t)

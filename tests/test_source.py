@@ -47,3 +47,22 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used | exported]
     assert unused == []
+
+
+CONFIG_READERS = {"_field", "_number", "_complex", "_angle", "_count", "_grid"}
+
+
+def test_config_converts_values_only_in_its_readers():
+    # Outside input reaches float(), complex() and int() only through the
+    # value readers, which turn every malformed value into a ConfigError.
+    path = Path(nhmetro.__file__).parent / "config.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    conversions = {"float", "complex", "int"}
+    found = []
+    for function in tree.body:
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in conversions):
+                found.append((getattr(function, "name", None), node.lineno))
+    assert found, "config.py converts no values"
+    assert [f for f in found if f[0] not in CONFIG_READERS] == []
