@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dilation, fisher, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
-from .dynamics import evolve, survival_probability
-from .errors import (AllTrialsFailed, ConfigError, Degenerate, NumericsError,
+from .dynamics import check_projector, evolve, survival_probability
+from .errors import (AllTrialsFailed, ConfigError, Degenerate, NotProjector, NumericsError,
                      UnsupportedFamily, UnsupportedProbe, ZeroG)
 from .estimate import run_trials
 from .fisher import qfi_closed_form, qfi_generator, qfi_record, qfi_state_derivative
@@ -109,6 +109,10 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     sweep_name, points = _sweep_points(cfg)
     theta = cfg.model.true_value
     spec = cfg.estimation
+    try:
+        check_projector(cfg.measurement)
+    except NotProjector as exc:
+        raise ConfigError("measurement.matrix", f"estimate needs a rank-1 projector: {exc}")
     partial = False
     with (_csv_rows(out_path, [sweep_name, "p0", "precision", "precision_err",
                                "mean_estimate", "bias_pct", "failed_trials"]) as row,
@@ -172,28 +176,31 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
+    """One dilated and one direct evolution over the whole time grid. A
+    numerical failure of either fails every row of the config."""
     theta = cfg.model.true_value
-    norm0 = None
+    times = cfg.time_grid.linspace()
+    H = hamiltonian(cfg.model, theta)
+    sys_ = dilation.build_dilation(H)
+    eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
     partial = False
+    try:
+        Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times)
+        direct = evolve(cfg.model, theta, times, cfg.probe)
+    except NumericsError as exc:
+        log(f"t={times[0]}..{times[-1]}: {exc}")
+        rows = [[t, None, None, None, eta_residual] for t in times]
+        partial = True
+    else:
+        total = np.sum(np.abs(Psi_t) ** 2, axis=1)
+        drift = np.abs(total - total[0]) / total[0]
+        fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
+        rows = [[t, f, p, d, eta_residual]
+                for t, f, p, d in zip(times, fidelity, success, drift)]
     with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
                               "eta_residual"]) as row:
-        H = hamiltonian(cfg.model, theta)
-        sys_ = dilation.build_dilation(H)
-        eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
-        for t in cfg.time_grid.linspace():
-            try:
-                Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, float(t))
-                total = float(np.vdot(Psi_t, Psi_t).real)
-                if norm0 is None:
-                    norm0 = total
-                drift = abs(total - norm0) / norm0
-                direct = evolve(cfg.model, theta, float(t), cfg.probe)
-                fidelity = abs(np.vdot(recovered, direct.phi_out))
-                row([t, fidelity, success, drift, eta_residual])
-            except NumericsError as exc:
-                log(f"t={t}: {exc}")
-                row([t, None, None, None, eta_residual])
-                partial = True
+        for values in rows:
+            row(values)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

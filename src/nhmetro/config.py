@@ -23,6 +23,9 @@ from . import linalg
 from .errors import ConfigError, NumericsError
 from .models import PARAMS, HamiltonianModel, hamiltonian
 
+# The largest shot count the binomial sampler takes (a C int64).
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -106,10 +109,12 @@ def _angle(value, path) -> float:
         raise ConfigError(path, f"cannot parse angle {value!r}")
 
 
-def _count(doc, key, path, minimum) -> int:
+def _count(doc, key, path, minimum, maximum=None) -> int:
     value = _field(doc, key, path, int)
     if value < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -191,7 +196,7 @@ def _parse_bracket(value, n_points) -> tuple:
 
 
 def _parse_estimation(doc, n_points) -> EstimationSpec:
-    n = _count(doc, "n", "estimation", 1)
+    n = _count(doc, "n", "estimation", 1, MAX_SHOTS)
     trials = _count(doc, "trials", "estimation", 2)
     seed = _count(doc, "seed", "estimation", 0)
     bracket = _parse_bracket(_field(doc, "bracket", "estimation"), n_points)

@@ -5,7 +5,8 @@ eta H = H^dag eta. With c = sum_i 1/lambda_i(eta) and zeta = c eta - I, the
 four-dimensional Hermitian generator I (x) H_s + sigma_y (x) V reproduces the
 non-unitary dynamics on the ancilla-|0> block; post-selecting that block
 recovers the non-Hermitian output state. The ancilla is the FIRST tensor
-factor throughout.
+factor throughout. H_tot is diagonalised once per system, so evolving to
+any number of times costs one phase multiply per time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class DilationSystem:
     H_s: np.ndarray
     V: np.ndarray
     H_tot: np.ndarray
+    # H_tot = modes @ diag(energies) @ modes^dag
+    energies: np.ndarray
+    modes: np.ndarray
 
 
 def solve_eta(H) -> np.ndarray:
@@ -80,22 +84,31 @@ def build_dilation(H) -> DilationSystem:
     H_s = _hermitian((H @ z_mhalf + z_half @ H) @ s_inv)
     V = _hermitian(1j * (H - z_half @ H @ z_mhalf) @ s_inv)
     H_tot = np.kron(np.eye(2), H_s) + np.kron(linalg.SIGMA_Y, V)
+    energies, modes = np.linalg.eigh(H_tot)
     return DilationSystem(H=H, eta=eta, c=c, zeta=zeta, z_half=z_half, H_s=H_s, V=V,
-                          H_tot=H_tot)
+                          H_tot=H_tot, energies=energies, modes=modes)
 
 
-def evolve_dilated(sys: DilationSystem, psi0, t: float):
+def evolve_dilated(sys: DilationSystem, psi0, t):
     """Evolve |0>(x)psi0 + |1>(x)zeta^(1/2) psi0 under H_tot and post-select.
 
+    Psi(t) = W (exp(-i E t) * W^dag Psi0) with H_tot = W diag(E) W^dag.
     Returns (Psi_tot, recovered, success_prob): the full unnormalized
-    two-qubit state, the renormalized ancilla-|0> block, and the
-    post-selection probability.
+    two-qubit state, the renormalized, phase-fixed ancilla-|0> block, and the
+    post-selection probability. For a 1-D array of t every field gains a
+    leading axis over t.
     """
     psi0 = check_normalized(psi0)
     Psi0 = np.concatenate([psi0, sys.z_half @ psi0])
-    Psi_t = linalg.mat_exp(-1j * t * sys.H_tot) @ Psi0
-    block0 = Psi_t[:2]
-    total = float(np.vdot(Psi_t, Psi_t).real)
-    success_prob = float(np.vdot(block0, block0).real) / total
-    recovered = fix_phase(block0 / np.linalg.norm(block0))
+    amplitudes = linalg.dagger(sys.modes) @ Psi0
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), sys.energies))
+    # An elementwise product summed per row, not a matmul, so a stack of t
+    # gives each state exactly the bits of a scalar call.
+    Psi_t = np.sum(sys.modes * (phases * amplitudes)[..., None, :], axis=-1)
+    block0 = Psi_t[..., :2]
+    weight0 = np.sum(np.abs(block0) ** 2, axis=-1)
+    success_prob = weight0 / np.sum(np.abs(Psi_t) ** 2, axis=-1)
+    if Psi_t.ndim == 1:
+        return Psi_t, fix_phase(block0 / np.sqrt(weight0)), float(success_prob)
+    recovered = np.array([fix_phase(b / np.sqrt(w)) for b, w in zip(block0, weight0)])
     return Psi_t, recovered, success_prob

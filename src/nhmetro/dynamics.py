@@ -37,8 +37,8 @@ class EvolutionResult:
 
     psi_out_raw is the unnormalized U |psi0>; phi_out is normalized and
     phase-fixed; K is the squared norm of the raw output (the trace of the
-    unnormalized output density matrix). For an array of theta every field
-    gains a leading axis over theta and K is an array.
+    unnormalized output density matrix). For an array of theta or of t every
+    field gains a leading axis over it and K is an array.
     """
 
     U: np.ndarray
@@ -47,21 +47,32 @@ class EvolutionResult:
     K: float | np.ndarray
 
 
-def evolve(model: HamiltonianModel, theta, t: float, psi0) -> EvolutionResult:
-    """Evolve psi0 for time t at one theta, or at each theta of a 1-D array.
+def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
+    """Evolve psi0 for time t at one theta, at each theta of a 1-D array, or
+    at one theta for each t of a 1-D array (not both arrays at once).
 
-    A stacked result equals the per-theta results bit for bit: H is built
-    per theta, the stack goes through one `mat_exp` call, and K and the
-    phase fix stay per vector.
+    A stacked result equals the per-point results bit for bit: each
+    generator -i t H is built exactly as for one point, the stack goes
+    through one `mat_exp` call, and K and the phase fix stay per vector.
     """
     psi0 = check_normalized(psi0)
-    if t < 0:
-        raise OutOfRange(f"evolution time must be nonnegative, got {t}")
-    if np.ndim(theta) == 0:
-        H = hamiltonian(model, theta)
+    if np.ndim(t) == 0:
+        if t < 0:
+            raise OutOfRange(f"evolution time must be nonnegative, got {t}")
+        if np.ndim(theta) == 0:
+            H = hamiltonian(model, theta)
+        else:
+            H = np.array([hamiltonian(model, th) for th in theta])
+        generator = -1j * t * H
     else:
-        H = np.array([hamiltonian(model, th) for th in theta])
-    U = linalg.mat_exp(-1j * t * H)
+        if np.ndim(theta) != 0:
+            raise ValueError("evolve takes an array of theta or an array of t, not both")
+        times = [float(tk) for tk in t]
+        if any(tk < 0 for tk in times):
+            raise OutOfRange(f"evolution times must be nonnegative, got {min(times)}")
+        H = hamiltonian(model, theta)
+        generator = np.array([-1j * tk * H for tk in times])
+    U = linalg.mat_exp(generator)
     raw = U @ psi0
     if raw.ndim == 1:
         K = float(np.vdot(raw, raw).real)

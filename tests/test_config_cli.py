@@ -12,7 +12,7 @@ from nhmetro import cli, ep_demo_model, estimate, fisher, linalg
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
 from nhmetro.dynamics import evolve
-from nhmetro.errors import ConfigError, NotNormalized, OutOfRange
+from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
 from nhmetro.fisher import qfi_generator
 
 from conftest import SQRT_F_S
@@ -346,6 +346,32 @@ class TestCliOptimalAndDilate:
             assert float(row["fidelity"]) >= 1 - 1e-8
             assert float(row["norm_drift"]) < 1e-9
 
+    def test_dilate_evolves_the_grid_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((cli.dilation, "evolve_dilated"), (cli, "evolve")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        doc = base_config(time_grid={"start": 0.0, "stop": 4.0, "steps": 10})
+        assert main(["dilate", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "dil.csv"), "--quiet"]) == 0
+        assert len(calls) == 2 and all(len(args[2]) == 10 for args in calls)
+
+    def test_failed_evolution_fails_every_dilate_row(self, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise NonFinite("injected")
+
+        monkeypatch.setattr(cli, "evolve", failing)
+        doc = base_config(time_grid={"start": 0.0, "stop": 4.0, "steps": 5})
+        out = tmp_path / "dil.csv"
+        assert main(["dilate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("injected") == 1
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+        for row in rows:
+            assert row[1:4] == ["nan"] * 3 and 0.0 <= float(row[4]) < 1e-12
+
 
 class TestCliErrors:
     def test_invalid_json_exit_code(self, tmp_path):
@@ -402,6 +428,7 @@ MALFORMED = {
     "probe_sweep_not_an_object": ({"probe_sweep": 3}, "probe_sweep"),
     "nan_time": ({"time_grid": {"start": math.nan, "stop": 1.0, "steps": 2}},
                  "time_grid.start"),
+    "shots_beyond_int64": ({"estimation": dict(ESTIMATION, n=10**20)}, "estimation.n"),
 }
 
 
@@ -415,6 +442,30 @@ class TestMalformedInput:
         assert main(["validate", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+    def test_shot_count_bound(self, tmp_path, capsys):
+        doc = base_config(time_grid={"start": 1.0, "stop": 1.0, "steps": 1},
+                          estimation=dict(ESTIMATION, n=2**63))
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: estimation.n: ") and "Traceback" not in err
+        assert not out.exists()
+        doc["estimation"]["n"] = 2**63 - 1
+        assert parse_config(doc).estimation.n == 2**63 - 1
+
+    def test_estimate_needs_a_projector(self, tmp_path, capsys):
+        doc = base_config(time_grid={"start": 1.0, "stop": 2.0, "steps": 2},
+                          measurement={"matrix": [[1, 0], [0, 0.5]]}, estimation=ESTIMATION)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: measurement.matrix: ") and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "est.csv.trials.csv").exists()
+        # any Hermitian observable still suits `optimal`
+        assert main(["optimal", "--config", cfg, "--out", str(tmp_path / "opt.csv"),
+                     "--quiet"]) == 0
 
     def test_unwritable_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

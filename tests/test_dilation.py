@@ -150,6 +150,29 @@ class TestEvolveDilated:
             Psi_t, _, _ = evolve_dilated(sys_, ket0, t)
             assert abs(np.vdot(Psi_t, Psi_t).real - expected) < 1e-9 * expected
 
+    def test_time_array_matches_scalar_calls(self):
+        psi0 = np.array([math.cos(0.6), math.sin(0.6)], dtype=complex)
+        for _, H in unbroken_points()[:8]:
+            sys_ = build_dilation(H)
+            times = np.linspace(0.0, 30.0, 37)
+            Psi_t, recovered, success = evolve_dilated(sys_, psi0, times)
+            assert Psi_t.shape == (37, 4) and recovered.shape == (37, 2)
+            assert success.shape == (37,)
+            for i, t in enumerate(times):
+                one = evolve_dilated(sys_, psi0, float(t))
+                assert np.array_equal(Psi_t[i], one[0])
+                assert np.array_equal(recovered[i], one[1])
+                assert success[i] == one[2] and isinstance(one[2], float)
+
+    def test_spectral_decomposition(self):
+        # measured: 1.2e-15 and 9.2e-16 at most over these points
+        for _, H in unbroken_points():
+            sys_ = build_dilation(H)
+            W, E = sys_.modes, sys_.energies
+            assert np.linalg.norm(W @ linalg.dagger(W) - np.eye(4)) <= 1e-14
+            assert (np.linalg.norm((W * E) @ linalg.dagger(W) - sys_.H_tot)
+                    <= 1e-14 * np.linalg.norm(sys_.H_tot))
+
     def test_success_probability_tracks_k(self, ket0):
         # post-selection probability equals K / (c <psi0|eta|psi0>)
         alpha = 0.9
@@ -172,3 +195,29 @@ def test_dilation_recovers_direct_evolution(alpha, t):
     assert abs(np.vdot(recovered, direct.phi_out)) >= 1 - 1e-9
     denom = sys_.c * np.vdot(ket0, sys_.eta @ ket0).real
     assert abs(success - direct.K / denom) <= 1e-9
+
+
+# Each family with the range of its parameter, unbroken regime only; the
+# ep_demo range reaches within 6e-4 of its EP at alpha = pi/4.
+RECOVERY_FAMILIES = {
+    "kappa": (kappa_model, st.floats(0.05, 20.0).filter(lambda k: k != 1.0)),
+    "ep_demo": (ep_demo_model, st.floats(0.01, 0.785)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(RECOVERY_FAMILIES)), data=st.data(),
+       probe_angle=st.floats(0.0, math.pi / 2), t_stop=st.floats(0.0, 20.0))
+def test_dilation_recovers_kappa_and_ep_demo(family, data, probe_angle, t_stop):
+    make, params = RECOVERY_FAMILIES[family]
+    theta = data.draw(params)
+    model = make(theta)
+    psi0 = np.array([math.cos(2 * probe_angle), math.sin(2 * probe_angle)], dtype=complex)
+    times = np.linspace(0.0, t_stop, 20)
+    sys_ = build_dilation(hamiltonian(model, theta))
+    direct = evolve(model, theta, times, psi0)
+    _, recovered, success = evolve_dilated(sys_, psi0, times)
+    fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
+    assert fidelity.min() >= 1 - 1e-9
+    denom = sys_.c * np.vdot(psi0, sys_.eta @ psi0).real
+    assert np.abs(success - direct.K / denom).max() <= 1e-9

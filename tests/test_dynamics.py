@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nhmetro import custom_model, ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dynamics import (check_projector, evolve, fix_phase, outcome_probability,
                               survival_probability)
-from nhmetro.errors import NotNormalized, NotProjector
+from nhmetro.errors import NotNormalized, NotProjector, OutOfRange
 
 from conftest import P0_PROBE, P0_TIME, T18, probe_state
 
@@ -110,13 +110,33 @@ STACK_FAMILIES = {
 def test_stacked_evolve_matches_single_evolves(family, t, probe_deg, data):
     # with t up to 50 a pt or kappa stack mixes squaring counts
     model, thetas = STACK_FAMILIES[family]
+    theta = data.draw(thetas)
     thetas = data.draw(st.lists(thetas, min_size=1, max_size=70))
+    times = data.draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=70))
     psi0 = probe_state(probe_deg)
     stacked = evolve(model, np.array(thetas), t, psi0)
     assert stacked.U.shape == (len(thetas), 2, 2) and stacked.K.shape == (len(thetas),)
-    for i, theta in enumerate(thetas):
-        single = evolve(model, theta, t, psi0)
-        assert np.array_equal(stacked.U[i], single.U)
-        assert np.array_equal(stacked.psi_out_raw[i], single.psi_out_raw)
-        assert np.array_equal(stacked.phi_out[i], single.phi_out)
-        assert stacked.K[i] == single.K
+    for i, th in enumerate(thetas):
+        assert_same_evolution(stacked, i, evolve(model, th, t, psi0))
+    over_t = evolve(model, theta, np.array(times), psi0)
+    assert over_t.U.shape == (len(times), 2, 2) and over_t.K.shape == (len(times),)
+    for i, tk in enumerate(times):
+        assert_same_evolution(over_t, i, evolve(model, theta, tk, psi0))
+
+
+def assert_same_evolution(stacked, i, single):
+    assert np.array_equal(stacked.U[i], single.U)
+    assert np.array_equal(stacked.psi_out_raw[i], single.psi_out_raw)
+    assert np.array_equal(stacked.phi_out[i], single.phi_out)
+    assert stacked.K[i] == single.K
+
+
+def test_evolve_takes_one_array_argument(ket0):
+    model = pt_model(1.0, 0.7, "s")
+    with pytest.raises(ValueError, match="not both"):
+        evolve(model, np.array([0.9, 1.1]), np.array([0.5, 1.0]), ket0)
+
+
+def test_every_time_of_an_array_is_checked(ket0):
+    with pytest.raises(OutOfRange):
+        evolve(pt_model(1.0, 0.7, "s"), 1.0, np.array([0.0, 1.0, -1e-3]), ket0)

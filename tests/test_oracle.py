@@ -1,12 +1,14 @@
-"""The exact derivative route and both QFI routes against 40-digit references.
+"""The exact derivative route, both QFI routes and the spectral dilated
+evolution against 40-digit references.
 
 `fisher.output_derivative` takes U = exp(-itH) and dU/dtheta from one
 float64 exponential of the 4x4 block [[H, dH], [0, H]]. The reference
 exponentiates the same block, built from the same float64 H and dH, with
 `mpmath.expm` at 40 significant digits, so the comparison measures the
 kernel and not the model's rounding. The QFI at small t is compared with
-the catalog closed forms evaluated at 40 digits. mpmath is a test
-dependency only.
+the catalog closed forms evaluated at 40 digits. The dilated evolution is
+compared with `mpmath.expm(-i t H_tot)` of the same float64 H_tot. mpmath is
+a test dependency only.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro.dilation import build_dilation, evolve_dilated
 from nhmetro.fisher import (output_derivative, qfi_closed_form, qfi_record,
                             qfi_state_derivative)
 from nhmetro.models import d_hamiltonian, hamiltonian
@@ -31,6 +34,11 @@ F_REL_TOL = 1e-10
 # Both routes erred by up to 3.2e-4 at t = 1e-6 while F was taken as a
 # difference of nearly equal numbers.
 SMALL_T_REL_TOL = 1e-13
+# Largest relative error of Psi(t) and of success_prob over the dilation
+# points: 4.5e-15 and 1.1e-14, the latter at t = 0 next to the EP, where
+# success_prob is 8.4e-4 (a Taylor exponential of the same H_tot: 9.2e-15
+# and 1.5e-15).
+DILATION_REL_TOL = 1e-13
 TIMES = (0.0, 0.7, 5.0, 20.0, 50.0)
 SMALL_TIMES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 EP_DISTANCES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -130,3 +138,44 @@ def test_both_routes_keep_relative_accuracy_as_t_goes_to_0(family):
             for got in (qfi_record(model, theta, t, ket0).F,
                         qfi_state_derivative(model, theta, t, ket0)):
                 assert abs(got - exact) <= SMALL_T_REL_TOL * exact, (theta, t)
+
+
+def dilated_oracle(sys_, Psi0, t):
+    """(Psi(t), success_prob) from a 40-digit exp(-i t H_tot) Psi0."""
+    with mpmath.workdps(ORACLE_DPS):
+        H_tot = mpmath.matrix([[mpmath.mpc(x) for x in row] for row in sys_.H_tot])
+        Psi = mpmath.expm(-1j * mpmath.mpf(t) * H_tot) * mpmath.matrix(
+            [mpmath.mpc(x) for x in Psi0])
+        weights = [abs(x) ** 2 for x in Psi]
+        success = (weights[0] + weights[1]) / sum(weights)
+        return np.array([complex(x) for x in Psi]), float(success)
+
+
+def dilation_points(regime, rng):
+    """Four seeded (model, theta) points of a regime, unbroken."""
+    points = []
+    for _ in range(4):
+        s, alpha = rng.uniform(0.5, 1.5), rng.uniform(0.1, 1.4)
+        kappa, a_ep = rng.uniform(0.2, 4.0), rng.uniform(0.05, 0.78)
+        a_near = rng.uniform(0.78, 0.785)
+        points.append({"pt": (pt_model(s, alpha, "alpha"), alpha),
+                       "kappa": (kappa_model(kappa), kappa),
+                       "ep_demo": (ep_demo_model(a_ep), a_ep),
+                       "ep_demo_near_ep": (ep_demo_model(a_near), a_near)}[regime])
+    return points
+
+
+@pytest.mark.parametrize("regime", ["pt", "kappa", "ep_demo", "ep_demo_near_ep"])
+def test_evolve_dilated_matches_oracle(regime):
+    rng = np.random.default_rng(2024)
+    times = np.array([0.0, 0.3, 1.0, 3.0, 10.0])
+    for model, theta in dilation_points(regime, rng):
+        sys_ = build_dilation(hamiltonian(model, theta))
+        phi = rng.uniform(0.0, math.pi / 2)
+        psi0 = np.array([math.cos(2 * phi), math.sin(2 * phi)], dtype=complex)
+        Psi_t, _, success = evolve_dilated(sys_, psi0, times)
+        Psi0 = np.concatenate([psi0, sys_.z_half @ psi0])
+        for i, t in enumerate(times):
+            Psi_ref, success_ref = dilated_oracle(sys_, Psi0, t)
+            assert rel_err(Psi_t[i], Psi_ref) <= DILATION_REL_TOL, (theta, t)
+            assert abs(success[i] - success_ref) <= DILATION_REL_TOL * success_ref, (theta, t)
