@@ -21,13 +21,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dilation, fisher, linalg, measure
+from . import dilation, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
 from .dynamics import check_projector, evolve, survival_probability
 from .errors import (AllTrialsFailed, ConfigError, Degenerate, NotProjector, NumericsError,
                      UnsupportedFamily, UnsupportedProbe, ZeroG)
 from .estimate import run_trials
-from .fisher import qfi_closed_form, qfi_generator, qfi_record, qfi_state_derivative
+from .fisher import qfi_centered, qfi_closed_form, qfi_record, qfi_state_derivative
 from .models import hamiltonian
 
 EXIT_OK = 0
@@ -149,11 +149,11 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         observable = measure.Observable(cfg.measurement, "configured")
         for sweep_value, probe, t in points:
             try:
-                res = evolve(cfg.model, theta, t, probe)
-                h = fisher.generator_closed_form(cfg.model, theta, t)
-                sqrt_f = math.sqrt(max(qfi_generator(h, res.phi_out), 0.0))
+                phi = evolve(cfg.model, theta, t, probe).phi_out
+                f = measure.centered_generator_state(cfg.model, theta, t, phi)
+                sqrt_f = math.sqrt(max(qfi_centered(f), 0.0))
                 try:
-                    report = measure.optimality_residual(cfg.model, theta, t, probe, observable)
+                    report = measure.optimality_residual(phi, f, observable)
                     residual, c_real, c_imag = (report.residual, report.c.real,
                                                 report.c_imag_fraction)
                 except ZeroG as exc:

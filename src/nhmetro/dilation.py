@@ -4,23 +4,28 @@ The embedding rests on a Hermitian positive metric eta with
 eta H = H^dag eta. With c = sum_i 1/lambda_i(eta) and zeta = c eta - I, the
 four-dimensional Hermitian generator I (x) H_s + sigma_y (x) V reproduces the
 non-unitary dynamics on the ancilla-|0> block; post-selecting that block
-recovers the non-Hermitian output state. The ancilla is the FIRST tensor
-factor throughout. H_tot is diagonalised once per system, so evolving to
-any number of times costs one phase multiply per time.
+recovers the non-Hermitian output state (Guenther & Samsonov, PRL 101,
+230404 (2008)). The ancilla is the FIRST tensor factor throughout. eta, c
+and zeta^(+-1/2) are closed forms, so H_tot is diagonalised once with eigh,
+the only eigensolver here, and each time costs one phase multiply.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .dynamics import check_normalized, fix_phase
-from .errors import NoPositiveSolution, ZetaNotPositive
+from .errors import NoPositiveSolution
 
 REAL_SPECTRUM_TOL = 1e-8
-POSITIVITY_TOL = 1e-10
+# |w^2| <= EP_TOL ||B||^2 is the exceptional point. On random near-EP B the
+# computed G lost positive definiteness only at |w^2| <= 2.8e-16 ||B||^2.
+EP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -38,27 +43,36 @@ class DilationSystem:
     modes: np.ndarray
 
 
+def _metric(H):
+    """(G, w^2) with G = w^2 I + B^dag B for H = cI + B, B^2 = w^2 I; raises
+    NoPositiveSolution in the broken regime and at the EP. H = cI gives
+    G = I, w^2 = 1/2, which keeps eta = I/2, c = 4 and zeta = I exact."""
+    H = linalg.as_matrix(H)
+    if H.shape != (2, 2):
+        raise ValueError("the metric is built for 2x2 Hamiltonians only")
+    tol = REAL_SPECTRUM_TOL * max(1.0, float(np.linalg.norm(H)))
+    mean = 0.5 * (H[0, 0] + H[1, 1])
+    if abs(mean.imag) > tol:
+        raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
+    B = H - mean * np.eye(2)
+    if not B.any():
+        return np.eye(2, dtype=complex), 0.5
+    w2 = B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0]
+    if abs(w2) <= EP_TOL * float(np.linalg.norm(B)) ** 2:
+        raise NoPositiveSolution("Hamiltonian is defective (exceptional point)")
+    if w2.real < 0 or abs(cmath.sqrt(w2).imag) > tol:
+        raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
+    return _hermitian(w2.real * np.eye(2) + linalg.dagger(B) @ B), w2.real
+
+
 def solve_eta(H) -> np.ndarray:
     """Positive-definite Hermitian metric with eta H = H^dag eta, unit trace.
 
-    With H = V diag(lambda) V^-1 and a real spectrum, eta = (V V^dag)^-1
-    intertwines H and H^dag and is positive definite (Mostafazadeh,
-    J. Math. Phys. 43, 205 (2002)). The columns of V are the unit-norm right
-    eigenvectors. A complex spectrum (broken regime) or a defective H (the
-    EP) has no such metric and raises NoPositiveSolution.
+    eta = G / tr G: G B = w^2 (B + B^dag) = B^dag G for real w^2, and G is
+    positive definite for w^2 > 0 (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).
     """
-    H = linalg.as_matrix(H)
-    if H.shape != (2, 2):
-        raise ValueError("solve_eta handles 2x2 Hamiltonians only")
-    ed = linalg.eig_decompose(H)
-    lam = ed.eigenvalues
-    if np.max(np.abs(lam.imag)) > REAL_SPECTRUM_TOL * max(1.0, float(np.linalg.norm(H))):
-        raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
-    if ed.defective:
-        raise NoPositiveSolution("Hamiltonian is defective (exceptional point)")
-    V = ed.right_eigenvectors / np.linalg.norm(ed.right_eigenvectors, axis=0)
-    eta = np.linalg.inv(V @ linalg.dagger(V))
-    return _hermitian(eta / np.trace(eta).real)
+    G, _ = _metric(H)
+    return G / np.trace(G).real
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -66,27 +80,25 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def build_dilation(H) -> DilationSystem:
-    """Assemble the two-qubit Hermitian system reproducing exp(-i H t)."""
+    """Assemble the two-qubit Hermitian system reproducing exp(-i H t).
+
+    det G = w^2 tr G gives c = tr G / w^2, zeta = B^dag B / w^2 with
+    det zeta = 1, zeta^(1/2) = G / r and zeta^(-1/2) = (tr G I - G) / r with
+    r = sqrt(w^2 tr G), and the scalar (zeta^(1/2) + zeta^(-1/2))^-1 = w^2 / r.
+    """
+    G, w2 = _metric(H)
     H = linalg.as_matrix(H)
-    eta = solve_eta(H)
-    lam = np.linalg.eigvalsh(eta)
-    c = float(np.sum(1.0 / lam))
-    zeta = c * eta - np.eye(2)
-    # One diagonalization gives zeta^(+-1/2) and (zeta^1/2 + zeta^-1/2)^-1,
-    # the latter evaluated spectrally for conditioning.
-    w, v = np.linalg.eigh(zeta)
-    if w.min() <= POSITIVITY_TOL:
-        raise ZetaNotPositive("c*eta - I is not positive definite")
-    root = np.sqrt(w)
-    z_half = _hermitian((v * root) @ linalg.dagger(v))
-    z_mhalf = _hermitian((v * (1.0 / root)) @ linalg.dagger(v))
-    s_inv = (v * (1.0 / (root + 1.0 / root))) @ linalg.dagger(v)
-    H_s = _hermitian((H @ z_mhalf + z_half @ H) @ s_inv)
-    V = _hermitian(1j * (H - z_half @ H @ z_mhalf) @ s_inv)
+    tr = np.trace(G).real
+    root = math.sqrt(w2 * tr)
+    z_half, z_mhalf = G / root, (tr * np.eye(2) - G) / root
+    s_inv = w2 / root
+    H_s = _hermitian((H @ z_mhalf + z_half @ H) * s_inv)
+    V = _hermitian(1j * (H - z_half @ H @ z_mhalf) * s_inv)
     H_tot = np.kron(np.eye(2), H_s) + np.kron(linalg.SIGMA_Y, V)
     energies, modes = np.linalg.eigh(H_tot)
-    return DilationSystem(H=H, eta=eta, c=c, zeta=zeta, z_half=z_half, H_s=H_s, V=V,
-                          H_tot=H_tot, energies=energies, modes=modes)
+    return DilationSystem(H=H, eta=G / tr, c=tr / w2, zeta=G / w2 - np.eye(2),
+                          z_half=z_half, H_s=H_s, V=V, H_tot=H_tot,
+                          energies=energies, modes=modes)
 
 
 def evolve_dilated(sys: DilationSystem, psi0, t):

@@ -59,11 +59,8 @@ class AllTrialsFailed(NumericsError):
 
 
 class NoPositiveSolution(NumericsError):
-    """No positive-definite metric exists (broken regime or degenerate nullspace)."""
-
-
-class ZetaNotPositive(NumericsError):
-    pass
+    """No positive-definite metric exists: the spectrum is complex (broken
+    regime) or H is defective (the exceptional point)."""
 
 
 class ConfigError(Exception):

@@ -5,7 +5,8 @@ which is the production route; a time-ordered quadrature stays as an
 independent cross-check in the tests. The QFI is computed by three routes:
 the generalized variance of h (production), the derivative of the
 normalized output state with dU/dtheta taken exactly from one 4x4 block
-exponential, and closed forms for the catalog families.
+exponential, and closed forms for the catalog families. The generator's
+eigenvalue gap is a closed form too, exact (0) at a defective h.
 """
 
 from __future__ import annotations
@@ -124,7 +125,11 @@ def qfi_generator(h, phi) -> float:
     h = linalg.as_matrix(h)
     phi = check_normalized(phi)
     hphi = h @ phi
-    f = hphi - np.vdot(phi, hphi) * phi
+    return qfi_centered(hphi - np.vdot(phi, hphi) * phi)
+
+
+def qfi_centered(f) -> float:
+    """F = 4<f|f> for the centered generator state f = (h - <h>) phi."""
     value = 4 * np.vdot(f, f)
     if not abs(value.imag) < IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(f"QFI imaginary residue {value.imag:.3e}")
@@ -203,10 +208,17 @@ class QFIRecord:
     gap: float
 
 
+def eigen_gap(h) -> float:
+    """|lambda_1 - lambda_2| of a 2x2 matrix, 2|sqrt(((h00 - h11)/2)^2 + h01 h10)|:
+    no eigenvectors, and exactly 0 at a defective h."""
+    half = 0.5 * (h[0, 0] - h[1, 1])
+    return 2 * abs(cmath.sqrt(half * half + h[0, 1] * h[1, 0]))
+
+
 def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIRecord:
     res = evolve(model, theta, t, psi0)
     h = generator_closed_form(model, theta, t)
     F = qfi_generator(h, res.phi_out)
-    gap = linalg.eig_decompose(h).gap
+    gap = eigen_gap(h)
     return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,
                      I=res.K * F, gap=gap)

@@ -6,16 +6,9 @@ routes through the handful of primitives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite
-
-# Eigenvector-matrix condition number beyond which a matrix is flagged
-# defective; EP-adjacent matrices must not silently produce garbage
-# inverse-eigenvector products.
-DEFECTIVE_COND_THRESHOLD = 1e8
 
 TAYLOR_ORDER = 13
 SCALING_TARGET_NORM = 0.5
@@ -53,21 +46,6 @@ def check_finite(a, context="matrix"):
     if not np.isfinite(a).all():
         raise NonFinite(f"{context} contains NaN/Inf entries")
     return a
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted by (real, imag) ascending, with matching columns."""
-
-    eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
-    defective: bool
-
-    @property
-    def gap(self) -> float:
-        """|lambda_max - lambda_min| for two-level spectra, else the spread."""
-        lam = self.eigenvalues
-        return float(abs(lam[-1] - lam[0]))
 
 
 def _squarings(a: np.ndarray) -> int:
@@ -129,22 +107,6 @@ def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
             raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{total}")
         out[todo] = squared
     return out
-
-
-def eig_decompose(a) -> EigenDecomposition:
-    """Eigendecomposition with a defectiveness flag.
-
-    Never raises on defective input; the flag tells downstream code not to
-    trust V^-1 products.
-    """
-    a = as_matrix(a)
-    check_finite(a, "eig_decompose input")
-    lam, vec = np.linalg.eig(a)
-    order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    vec = vec[:, order]
-    cond = float(np.linalg.cond(vec))
-    return EigenDecomposition(lam, vec, defective=not cond < DEFECTIVE_COND_THRESHOLD)
 
 
 def basis_state(index: int, dim: int = 2) -> np.ndarray:

@@ -29,11 +29,11 @@ def _fd_step(theta: float) -> float:
     return 1e-5 * max(1.0, abs(theta))
 
 
-def _output_and_f(model: HamiltonianModel, theta: float, t: float, psi0):
-    """The normalized output state phi and f = (h - <h>) phi."""
-    phi = evolve(model, theta, t, psi0).phi_out
+def centered_generator_state(model: HamiltonianModel, theta: float, t: float, phi):
+    """f = (h - <h>) phi on the normalized output state phi, with the
+    closed-form generator h at (theta, t); F = 4<f|f> (fisher.qfi_centered)."""
     hphi = generator_closed_form(model, theta, t) @ phi
-    return phi, hphi - np.vdot(phi, hphi) * phi
+    return hphi - np.vdot(phi, hphi) * phi
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
     return abs(slope) / np.sqrt(var)
 
 
-def optimality_residual(model: HamiltonianModel, theta: float, t: float,
-                        psi0, A: Observable) -> OptimalityReport:
-    """Least-squares fit of |f> = i c |g> on the normalized output state."""
-    phi, f = _output_and_f(model, theta, t, psi0)
+def optimality_residual(phi, f, A: Observable) -> OptimalityReport:
+    """Least-squares fit of |f> = i c |g> on the normalized output state phi,
+    with f = (h - <h>) phi from centered_generator_state."""
     g = A.A @ phi - expectation(phi, A.A) * phi
     g_norm2 = float(np.vdot(g, g).real)
     if g_norm2 <= ZERO_G_TOL ** 2:
@@ -105,5 +104,6 @@ def sld_operator(model: HamiltonianModel, theta: float, t: float, psi0) -> np.nd
     beta that drops out of d(rho), so L = 2i(|phi><f| - |f><phi|); then
     Tr(rho L^2) = 4||f||^2 = F.
     """
-    phi, f = _output_and_f(model, theta, t, psi0)
+    phi = evolve(model, theta, t, psi0).phi_out
+    f = centered_generator_state(model, theta, t, phi)
     return 2j * (np.outer(phi, f.conj()) - np.outer(f, phi.conj()))

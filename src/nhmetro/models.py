@@ -1,8 +1,7 @@
 """Catalog of parametric non-Hermitian Hamiltonians with analytic derivatives.
 
-Besides H(theta) and dH/dtheta, the catalog families carry closed-form
-evolution operators and generator-eigenvalue formulas that serve as
-independent references in the tests.
+Besides H(theta) and dH/dtheta, the pt and kappa families carry closed-form
+evolution operators that serve as independent references in the tests.
 """
 
 from __future__ import annotations
@@ -142,38 +141,3 @@ def closed_form_U(model: HamiltonianModel, theta: float, t: float) -> np.ndarray
             ]
         )
     raise UnsupportedFamily(f"no closed-form evolution for family {model.family!r}")
-
-
-def h_eigen_oracle(model: HamiltonianModel, theta: float, t: float):
-    """Closed-form eigenvalue pair of the local generator at (theta, t).
-
-    The pair is unordered (the sign convention of the source expressions is
-    ambiguous); compare |lambda_+ - lambda_-| rather than individual signs.
-    The radicand may be negative at small t, in which case the eigenvalues
-    are purely imaginary; the complex square root handles both regimes.
-    """
-    csqrt = np.lib.scimath.sqrt
-    if model.family == "pt":
-        p = model.bound_params(theta)
-        s, alpha = p["s"], p["alpha"]
-        if model.estimated_param != "alpha":
-            raise UnsupportedFamily("pt generator eigenvalues are only available for estimate 'alpha'")
-        sec = 1.0 / math.cos(alpha)
-        radicand = 4 * math.cos(2 * s * t * math.cos(alpha)) - 4 + s * s * t * t * (1 - math.cos(4 * alpha))
-        lam = sec * csqrt(radicand) / (2 * math.sqrt(2))
-        return lam, -lam
-    if model.family == "kappa":
-        # Denominator 8*kappa**2, not 8*kappa: the latter disagrees with the
-        # generator matrix itself by a factor sqrt(kappa) whenever kappa != 1.
-        kappa = model.bound_params(theta)["kappa"]
-        lam = csqrt((-1 + 2 * kappa * t * t + math.cos(2 * t * math.sqrt(kappa)))
-                    / (8 * kappa * kappa))
-        return lam, -lam
-    if model.family == "ep_demo":
-        alpha = model.bound_params(theta)["alpha"]
-        sec2 = 1.0 / math.cos(2 * alpha)
-        root = math.sqrt(math.cos(2 * alpha))
-        radicand = (math.cos(2 * t * root) + t * t * math.sin(2 * alpha) * math.sin(4 * alpha) - 1) / 2
-        lam = sec2 * csqrt(radicand)
-        return lam, -lam
-    raise UnsupportedFamily(f"no generator eigenvalue formula for family {model.family!r}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from nhmetro import linalg
 from nhmetro.fisher import output_derivative, qfi_from_output
@@ -76,3 +78,20 @@ def gauge_deviation(model, theta, t, psi0, c, dc) -> float:
 def probe_state(phi_deg: float) -> np.ndarray:
     phi = math.radians(phi_deg)
     return np.array([math.cos(2 * phi), math.sin(2 * phi)], dtype=complex)
+
+
+@st.composite
+def real_spectrum_hamiltonians(draw):
+    """H = V diag(l, l + gap) V^-1 with a random complex V of condition
+    number below 100 and a real spectrum: the unbroken regime away from the EP.
+    Every drawn value is a multiple of 1e-6: on entries like 1e-259, LAPACK's
+    eig returns wrong eigenvectors (for [[0, 0], [-1, 1]] + 2.2e-309j, the
+    vector [1, 0] for eigenvalue 0), so it could not serve as the reference."""
+    def grid(lo, hi):
+        return st.floats(lo, hi).map(lambda x: round(x, 6))
+
+    unit = grid(-1.0, 1.0)
+    V = np.array([[complex(draw(unit), draw(unit)) for _ in range(2)] for _ in range(2)])
+    assume(np.linalg.cond(V) < 100)
+    low, gap = draw(grid(-5.0, 5.0)), draw(grid(0.01, 5.0))
+    return V @ np.diag([low, low + gap]) @ np.linalg.inv(V)

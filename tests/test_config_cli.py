@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import cli, ep_demo_model, estimate, fisher, linalg
+from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
 from nhmetro.dynamics import evolve
@@ -286,7 +286,7 @@ class TestCliEstimate:
 
 class TestCliOptimalAndDilate:
     def test_failed_generator_is_a_failed_row(self, tmp_path, monkeypatch):
-        real = fisher.generator_closed_form
+        real = measure.generator_closed_form
 
         def failing_at_third_point(*args):
             failing_at_third_point.calls += 1
@@ -295,7 +295,7 @@ class TestCliOptimalAndDilate:
             return real(*args)
 
         failing_at_third_point.calls = 0
-        monkeypatch.setattr(fisher, "generator_closed_form", failing_at_third_point)
+        monkeypatch.setattr(measure, "generator_closed_form", failing_at_third_point)
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
                    "estimated_param": "alpha"},
@@ -310,6 +310,28 @@ class TestCliOptimalAndDilate:
         assert [row[0] for row in rows] == ["0", "9", "18", "27", "36", "45"]
         assert rows[2][1:] == ["nan"] * 5
         assert all("nan" not in row[5] for i, row in enumerate(rows) if i != 2)
+
+    def test_optimal_row_evolves_four_times_and_builds_h_once(self, tmp_path, monkeypatch):
+        # One evolution and one generator for phi, f and sqrtF; three
+        # evolutions for the central-difference precision_ep.
+        evolves, generators = [], []
+        for module in (cli, fisher, measure):
+            real = module.evolve
+            monkeypatch.setattr(module, "evolve",
+                                lambda *args, real=real: evolves.append(args) or real(*args))
+        for module in (fisher, measure):
+            real = module.generator_closed_form
+            monkeypatch.setattr(module, "generator_closed_form",
+                                lambda *args, real=real: generators.append(args) or real(*args))
+        doc = base_config(
+            model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
+                   "estimated_param": "alpha"},
+            time_grid={"start": 1.5, "stop": 1.5, "steps": 1},
+            probe_sweep={"start": "0deg", "stop": "45deg", "steps": 6})
+        assert main(["optimal", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "opt.csv"), "--quiet"]) == 0
+        assert len(evolves) == 4 * 6
+        assert len(generators) == 6
 
     def test_optimal_probe_sweep(self, tmp_path):
         doc = base_config(
@@ -345,6 +367,18 @@ class TestCliOptimalAndDilate:
             row = dict(zip(header, line.split(",")))
             assert float(row["fidelity"]) >= 1 - 1e-8
             assert float(row["norm_drift"]) < 1e-9
+
+    def test_dilate_zero_hamiltonian(self, tmp_path):
+        # pt at s = 0 is H = 0: eta = I/2 and the dilation is trivial
+        doc = base_config(model={"family": "pt", "params": {"s": 0.0, "alpha": 0.5},
+                                 "estimated_param": "alpha"},
+                          probe={"angle": "20deg"},
+                          time_grid={"start": 0.0, "stop": 4.0, "steps": 5})
+        out = tmp_path / "dil.csv"
+        assert main(["dilate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == 0
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
+        assert [row[1:] for row in rows] == [["1", "0.5", "0", "0"]] * 5
 
     def test_dilate_evolves_the_grid_in_one_call(self, tmp_path, monkeypatch):
         calls = []

@@ -11,6 +11,8 @@ from nhmetro.dynamics import evolve
 from nhmetro.errors import NoPositiveSolution
 from nhmetro.models import hamiltonian
 
+from conftest import real_spectrum_hamiltonians
+
 
 def pt_hamiltonian(alpha, s=1.0):
     return hamiltonian(pt_model(s, alpha, "alpha"), alpha)
@@ -68,6 +70,37 @@ class TestSolveEta:
         H = np.array([[1j, 1.0], [1.0, -1j]]) / math.sqrt(2)
         with pytest.raises(NoPositiveSolution):
             solve_eta(H)
+
+    def test_ep_boundary(self):
+        # B = [[0, 1], [delta, 0]]: w^2 = delta, ||B||^2 = 1 + delta^2 = 1 in
+        # floating point, so the EP test |w^2| <= 1e-14 ||B||^2 flips at 1e-14.
+        for delta in (1e-14, -1e-14):
+            with pytest.raises(NoPositiveSolution, match="exceptional point"):
+                solve_eta(np.array([[0.0, 1.0], [delta, 0.0]]))
+        with pytest.raises(NoPositiveSolution, match="broken regime"):
+            solve_eta(np.array([[0.0, 1.0], [-1.01e-14, 0.0]]))
+        # eigenvalues +-3.2e-9 i: below the 1e-8 imaginary-part tolerance,
+        # so only the sign of w^2 = -1e-17 shows the broken regime
+        with pytest.raises(NoPositiveSolution, match="broken regime"):
+            solve_eta(np.array([[0.0, 1e-4], [-1e-13, 0.0]]))
+        H = np.array([[0.0, 1.0], [1.01e-14, 0.0]], dtype=complex)
+        eta = solve_eta(H)
+        assert np.linalg.eigvalsh(eta).min() > 0
+        assert np.linalg.norm(eta @ H - linalg.dagger(H) @ eta) <= 1e-28
+
+    def test_scalar_hamiltonian(self):
+        # H = cI (pt at s = 0 is H = 0): eta = I/2, and the dilation leaves
+        # the probe alone with success probability 1/2
+        psi0 = np.array([0.6, 0.8], dtype=complex)
+        for c in (0.0, 2.5):
+            H = c * np.eye(2, dtype=complex)
+            assert np.array_equal(solve_eta(H), np.eye(2) / 2)
+            sys_ = build_dilation(H)
+            assert sys_.c == 4.0 and np.array_equal(sys_.zeta, np.eye(2))
+            assert np.array_equal(sys_.H_s, H) and not sys_.V.any()
+            _, recovered, success = evolve_dilated(sys_, psi0, np.linspace(0.0, 3.0, 4))
+            assert np.abs(recovered @ psi0.conj()).min() >= 1 - 1e-15
+            assert np.abs(success - 0.5).max() <= 1e-15
 
     @pytest.mark.parametrize("name,H", unbroken_points())
     def test_unbroken_metric(self, name, H):
@@ -221,3 +254,33 @@ def test_dilation_recovers_kappa_and_ep_demo(family, data, probe_angle, t_stop):
     assert fidelity.min() >= 1 - 1e-9
     denom = sys_.c * np.vdot(psi0, sys_.eta @ psi0).real
     assert np.abs(success - direct.K / denom).max() <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(H=real_spectrum_hamiltonians())
+def test_metric_and_zeta_on_random_real_spectra(H):
+    # eta against (V V^dag)^-1 with the unit-norm right eigenvectors of H;
+    # zeta = c eta - I is positive definite with determinant 1. Measured over
+    # 5,000 examples: 1.9e-13 relative for eta, 1.8e-13 ||zeta||^2 for det zeta.
+    _, vecs = np.linalg.eig(H)
+    ref = np.linalg.inv(vecs @ linalg.dagger(vecs))
+    ref = ref / np.trace(ref).real
+    assert np.linalg.norm(solve_eta(H) - ref) <= 1e-11 * np.linalg.norm(ref)
+    zeta = build_dilation(H).zeta
+    assert np.linalg.eigvalsh(zeta).min() > 0
+    assert abs(np.linalg.det(zeta) - 1) <= 1e-12 * np.linalg.norm(zeta) ** 2
+
+
+def test_dilation_next_to_the_ep():
+    # pi/4 - alpha = 1e-11: w^2 = cos(2 alpha) is about 2e-11, where an
+    # eigenvector-based metric no longer resolves zeta; measured 1 - fidelity
+    # <= 4.5e-16.
+    alpha = math.pi / 4 - 1e-11
+    model = ep_demo_model(alpha)
+    sys_ = build_dilation(hamiltonian(model, alpha))
+    times = np.linspace(0.0, 20.0, 41)
+    for psi0 in (linalg.basis_state(0), np.array([math.cos(0.6), math.sin(0.6)], dtype=complex)):
+        direct = evolve(model, alpha, times, psi0)
+        _, recovered, _ = evolve_dilated(sys_, psi0, times)
+        fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
+        assert fidelity.min() >= 1 - 1e-9

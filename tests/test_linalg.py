@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import linalg, pt_model, kappa_model
+from nhmetro import linalg
 from nhmetro.errors import NonFinite
-from nhmetro.models import hamiltonian
 
 
 class TestMatExp:
@@ -69,42 +68,3 @@ class TestMatExp:
             herm = (a + linalg.dagger(a)) / 2
             u = linalg.mat_exp(-1j * herm)
             assert np.linalg.norm(u @ linalg.dagger(u) - np.eye(2)) < 1e-10
-
-
-class TestEigDecompose:
-    def test_sigma_z(self):
-        ed = linalg.eig_decompose(linalg.SIGMA_Z)
-        assert np.allclose(ed.eigenvalues, [-1, 1])
-        assert not ed.defective
-
-    def test_pt_hamiltonian(self):
-        H = hamiltonian(pt_model(1.0, math.pi / 4), 1.0)
-        ed = linalg.eig_decompose(H)
-        c = math.cos(math.pi / 4)
-        assert np.allclose(ed.eigenvalues, [-c, c], atol=1e-12)
-
-    def test_kappa_hamiltonian(self):
-        H = hamiltonian(kappa_model(2.0), 2.0)
-        ed = linalg.eig_decompose(H)
-        assert np.allclose(ed.eigenvalues, [-math.sqrt(2), math.sqrt(2)], atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            ed = linalg.eig_decompose(a)
-            if ed.defective:
-                continue
-            v = ed.right_eigenvectors
-            recon = v @ np.diag(ed.eigenvalues) @ np.linalg.inv(v)
-            assert np.linalg.norm(recon - a) < 1e-9 * np.linalg.norm(a)
-
-    def test_eigenpair_residual(self):
-        a = hamiltonian(pt_model(1.2, 0.9), 1.2)
-        ed = linalg.eig_decompose(a)
-        for lam, v in zip(ed.eigenvalues, ed.right_eigenvectors.T):
-            assert np.linalg.norm(a @ v - lam * v) < 1e-10 * np.linalg.norm(a)
-
-    def test_defective_flag(self):
-        ed = linalg.eig_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert ed.defective

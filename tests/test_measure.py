@@ -7,8 +7,8 @@ from nhmetro import linalg, pt_model, kappa_model, custom_model, ep_demo_model
 from nhmetro.dynamics import evolve
 from nhmetro.errors import Degenerate, NotHermitian, ZeroG
 from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_generator, qfi_record
-from nhmetro.measure import (Observable, error_propagation_precision,
-                             optimality_residual, sld_operator)
+from nhmetro.measure import (Observable, centered_generator_state,
+                             error_propagation_precision, optimality_residual, sld_operator)
 
 from conftest import INV_SQRT_F_PROBE, SIGMA_PROBE, T18, probe_state
 
@@ -29,6 +29,11 @@ def random_points(n, seed):
         points.append((model, theta, rng.uniform(0.05, 5.0),
                        probe_state(rng.uniform(0.0, 90.0))))
     return points, rng
+
+
+def residual(model, theta, t, psi0, A):
+    phi = evolve(model, theta, t, psi0).phi_out
+    return optimality_residual(phi, centered_generator_state(model, theta, t, phi), A)
 
 
 def random_hermitian(rng):
@@ -97,21 +102,21 @@ class TestErrorPropagation:
 
 class TestOptimalityResidual:
     def test_pt_s_is_optimal(self, ket0, proj0):
-        rep = optimality_residual(pt_model(1.0, math.pi / 4, "s"), 1.0, math.pi / 8,
-                                  ket0, Observable(proj0, "P0"))
+        rep = residual(pt_model(1.0, math.pi / 4, "s"), 1.0, math.pi / 8,
+                       ket0, Observable(proj0, "P0"))
         assert rep.residual < 1e-8
         assert rep.c_imag_fraction < 1e-8
         assert rep.is_optimal()
 
     def test_tilted_probe_fails_condition(self, proj0):
-        rep = optimality_residual(pt_model(1.0, ALPHA10, "alpha"), ALPHA10, T18,
-                                  probe_state(18.0), Observable(proj0, "P0"))
+        rep = residual(pt_model(1.0, ALPHA10, "alpha"), ALPHA10, T18,
+                       probe_state(18.0), Observable(proj0, "P0"))
         assert rep.residual > 0.01
         assert not rep.is_optimal()
 
     def test_kappa_optimal_with_known_constant(self, ket0, proj0):
         kappa, t = 2.0, math.pi / 6
-        rep = optimality_residual(kappa_model(kappa), kappa, t, ket0, Observable(proj0, "P0"))
+        rep = residual(kappa_model(kappa), kappa, t, ket0, Observable(proj0, "P0"))
         rk = math.sqrt(kappa)
         expected_c = -(2 * t * rk - math.sin(2 * t * rk)) / (2 * kappa * math.sin(2 * t * rk))
         assert rep.residual < 1e-8
@@ -123,14 +128,14 @@ class TestOptimalityResidual:
         m = pt_model(1.0, math.pi / 4, "s")
         phi = evolve(m, 1.0, 1.0, ket0).phi_out
         with pytest.raises(ZeroG):
-            optimality_residual(m, 1.0, 1.0, ket0, Observable(linalg.projector(phi), "P_phi"))
+            residual(m, 1.0, 1.0, ket0, Observable(linalg.projector(phi), "P_phi"))
 
     def test_residual_range(self, proj0):
         rng = np.random.default_rng(29)
         m = pt_model(1.0, ALPHA10, "alpha")
         for _ in range(10):
-            rep = optimality_residual(m, ALPHA10, T18, probe_state(rng.uniform(1, 44)),
-                                      Observable(proj0, "P0"))
+            rep = residual(m, ALPHA10, T18, probe_state(rng.uniform(1, 44)),
+                           Observable(proj0, "P0"))
             assert 0.0 <= rep.residual <= 2.0
 
 
@@ -139,7 +144,7 @@ class TestQcrbRelations:
         m = pt_model(1.0, math.pi / 4, "s")
         A = Observable(proj0, "P0")
         for t in [math.pi / 8, 3 * math.pi / 8, 5 * math.pi / 8]:
-            rep = optimality_residual(m, 1.0, t, ket0, A)
+            rep = residual(m, 1.0, t, ket0, A)
             if rep.is_optimal():
                 prec = error_propagation_precision(m, 1.0, t, ket0, A)
                 f = _sqrt_f(m, 1.0, t, ket0)
@@ -195,7 +200,7 @@ class TestQcrbRelations:
             _, vecs = np.linalg.eigh(sld_operator(model, theta, t, psi0))
             for i in range(2):
                 A = linalg.projector(vecs[:, i])
-                if optimality_residual(model, theta, t, psi0, Observable(A)).residual < 1e-12:
+                if residual(model, theta, t, psi0, Observable(A)).residual < 1e-12:
                     saturating += 1
                     prec = exact_precision(model, theta, t, psi0, A)
                     assert abs(prec - sqrt_f) <= 1e-12 * sqrt_f
@@ -245,7 +250,7 @@ class TestSldOperator:
         for i in range(2):
             A = Observable(linalg.projector(vecs[:, i]), f"L-eig{i}")
             try:
-                rep = optimality_residual(m, 1.0, t, ket0, A)
+                rep = residual(m, 1.0, t, ket0, A)
             except ZeroG:
                 continue
             assert rep.is_optimal(tol=1e-12)

@@ -19,6 +19,26 @@ def test_no_assert_statements():
     assert found == []
 
 
+GENERAL_EIGENSOLVERS = {"eig", "eigvals"}
+
+
+def test_no_general_eigensolver():
+    # Every 2x2 quantity has a closed form; a general eigensolver brings back
+    # eigenvector conditioning and a defectiveness threshold. The Hermitian
+    # eigh and eigvalsh stay allowed.
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in GENERAL_EIGENSOLVERS
+                    and isinstance(node.value, (ast.Attribute, ast.Name))
+                    and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"):
+                found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+                    and GENERAL_EIGENSOLVERS & {alias.name for alias in node.names}):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_unused_imports():
     # The package has no linter: an import whose name the module never reads
     # is dead code. Lines marked `# noqa: F401` are kept on purpose.
