@@ -98,8 +98,8 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
                 deviation = _route_deviation([rec.F, f_state, f_closed])
             except NumericsError as exc:
                 log(f"t={t}: cross-check {exc}")
-            row([t, rec.F, math.sqrt(max(rec.F, 0.0)), rec.K, rec.I,
-                 math.sqrt(max(rec.I, 0.0)), rec.gap, f_closed, deviation])
+            row([t, rec.F, math.sqrt(rec.F), rec.K, rec.I, math.sqrt(rec.I), rec.gap,
+                 f_closed, deviation])
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -131,7 +131,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                 bias_pct = 100.0 * (run.mean - theta) / theta
                 row([sweep_value, p0, run.precision, run.precision_err,
                      run.mean, bias_pct, run.failed_trials])
-                for k, est in enumerate(run.estimates):
+                for k, est in zip(run.solved_trials, run.estimates):
                     trial_row([sweep_value, k, est])
             except (AllTrialsFailed, NumericsError) as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
@@ -151,7 +151,7 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
             try:
                 phi = evolve(cfg.model, theta, t, probe).phi_out
                 f = measure.centered_generator_state(cfg.model, theta, t, phi)
-                sqrt_f = math.sqrt(max(qfi_centered(f), 0.0))
+                sqrt_f = math.sqrt(qfi_centered(f))
                 try:
                     report = measure.optimality_residual(phi, f, observable)
                     residual, c_real, c_imag = (report.residual, report.c.real,

@@ -56,22 +56,16 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     through one `mat_exp` call, and K and the phase fix stay per vector.
     """
     psi0 = check_normalized(psi0)
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise OutOfRange(f"evolution time must be nonnegative, got {t}")
-        if np.ndim(theta) == 0:
-            H = hamiltonian(model, theta)
-        else:
-            H = np.array([hamiltonian(model, th) for th in theta])
-        generator = -1j * t * H
-    else:
-        if np.ndim(theta) != 0:
-            raise ValueError("evolve takes an array of theta or an array of t, not both")
-        times = [float(tk) for tk in t]
-        if any(tk < 0 for tk in times):
-            raise OutOfRange(f"evolution times must be nonnegative, got {min(times)}")
+    if np.ndim(theta) != 0 and np.ndim(t) != 0:
+        raise ValueError("evolve takes an array of theta or an array of t, not both")
+    times = np.asarray(t, dtype=float)
+    if (times < 0).any():
+        raise OutOfRange(f"evolution time must be nonnegative, got {times.min()}")
+    if np.ndim(theta) == 0:
         H = hamiltonian(model, theta)
-        generator = np.array([-1j * tk * H for tk in times])
+    else:
+        H = np.array([hamiltonian(model, th) for th in theta])
+    generator = (-1j * times)[..., None, None] * H
     U = linalg.mat_exp(generator)
     raw = U @ psi0
     if raw.ndim == 1:

@@ -26,20 +26,11 @@ MAX_ROOT_ITER = 200
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    n: int
-    x: int
-    p_hat: float
-
-    def __post_init__(self):
-        if not 0 <= self.x <= self.n:
-            raise ValueError(f"shot count x={self.x} outside [0, n={self.n}]")
-
-
-@dataclass(frozen=True)
 class EstimationRun:
     trials: int
     estimates: np.ndarray
+    # k of the trial_rng(seed, k) behind each estimate; failed trials have none
+    solved_trials: np.ndarray
     mean: float
     sigma: float
     sigma_err: float
@@ -56,20 +47,20 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def sample_shots(p: float, n: int, rng: np.random.Generator) -> ShotRecord:
+def sample_shots(p: float, n: int, rng: np.random.Generator) -> int:
+    """The number x of the n shots that give the outcome of probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     if n < 1:
         raise ValueError(f"shot count must be >= 1, got {n}")
-    x = int(rng.binomial(n, p))
-    return ShotRecord(n=n, x=x, p_hat=x / n)
+    return int(rng.binomial(n, p))
 
 
 @dataclass(frozen=True)
 class Inversion:
-    """MLE estimates for a sequence of shots on one bracket.
+    """MLE estimates for an array of observed frequencies on one bracket.
 
-    `estimates[i]` belongs to the i-th shot and is NaN when p(theta) never
+    `estimates[i]` belongs to the i-th frequency and is NaN when p(theta) never
     reaches its x/n on the bracket. `monotone` is False when p(theta) is not
     strictly monotone on the scan grid, so an estimate may be the first of
     several roots.
@@ -92,8 +83,8 @@ def _probabilities(model, thetas, t, psi0, A) -> np.ndarray:
                      for phi in evolve(model, thetas, t, psi0).phi_out])
 
 
-def mle_invert(model: HamiltonianModel, t: float, psi0, A, shots, bracket) -> Inversion:
-    """Solve p(theta) = x/n inside the bracket for every shot at once.
+def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket) -> Inversion:
+    """Solve p(theta) = x/n inside the bracket for every frequency x/n at once.
 
     The likelihood depends on theta only through p, so every root inside
     the bracket ties and the first one is taken. Each distinct x/n goes
@@ -112,7 +103,7 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, shots, bracket) -> In
     """
     lo, hi = _bounds(bracket)
     A = check_projector(A)
-    targets, inverse = np.unique([shot.p_hat for shot in shots], return_inverse=True)
+    targets, inverse = np.unique(frequencies, return_inverse=True)
     grid = np.linspace(lo, hi, SCAN_POINTS)
     p = _probabilities(model, grid, t, psi0, A)
     steps = np.diff(p)
@@ -165,11 +156,11 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
     p = survival_probability(evolve(model, theta_true, t, psi0), A)
-    shots = [sample_shots(p, n, trial_rng(seed, k)) for k in range(trials)]
-    inversion = mle_invert(model, t, psi0, A, shots, bracket)
-    solved = ~np.isnan(inversion.estimates)
+    frequencies = [sample_shots(p, n, trial_rng(seed, k)) / n for k in range(trials)]
+    inversion = mle_invert(model, t, psi0, A, frequencies, bracket)
+    solved = np.flatnonzero(~np.isnan(inversion.estimates))
     estimates = inversion.estimates[solved]
-    failed = trials - int(solved.sum())
+    failed = trials - len(solved)
     if not len(estimates):
         raise AllTrialsFailed(f"all {trials} trials failed MLE inversion")
 
@@ -180,6 +171,7 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
     return EstimationRun(
         trials=trials,
         estimates=estimates,
+        solved_trials=solved,
         mean=mean,
         sigma=sigma,
         sigma_err=sigma / spread,

@@ -24,11 +24,6 @@ DEGENERATE_TOL = 1e-12
 ZERO_G_TOL = 1e-12
 
 
-def _fd_step(theta: float) -> float:
-    """Central-difference step of the error-propagation slope."""
-    return 1e-5 * max(1.0, abs(theta))
-
-
 def centered_generator_state(model: HamiltonianModel, theta: float, t: float, phi):
     """f = (h - <h>) phi on the normalized output state phi, with the
     closed-form generator h at (theta, t); F = 4<f|f> (fisher.qfi_centered)."""
@@ -65,16 +60,14 @@ class OptimalityReport:
 
 def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
                                 psi0, A: Observable) -> float:
-    """Single-shot precision 1/(Delta theta) from the error-propagation formula."""
-    eps = _fd_step(theta)
-
-    def mean_A(th):
-        return expectation(evolve(model, th, t, psi0).phi_out, A.A)
-
-    slope = (mean_A(theta + eps) - mean_A(theta - eps)) / (2 * eps)
+    """Single-shot precision 1/(Delta theta) from the error-propagation formula,
+    with d<A>/dtheta as a central difference."""
+    eps = 1e-5 * max(1.0, abs(theta))
+    plus, minus, phi = evolve(model, np.array([theta + eps, theta - eps, theta]),
+                              t, psi0).phi_out
+    slope = (expectation(plus, A.A) - expectation(minus, A.A)) / (2 * eps)
     if abs(slope) <= DEGENERATE_TOL:
         raise Degenerate(f"d<A>/dtheta = {slope:.3e} at theta = {theta}")
-    phi = evolve(model, theta, t, psi0).phi_out
     var = expectation(phi, A.A @ A.A) - expectation(phi, A.A) ** 2
     if var <= DEGENERATE_TOL ** 2:
         raise Degenerate("observable has vanishing variance on the output state")

@@ -17,7 +17,6 @@ from .errors import OutOfRange, UnsupportedFamily
 # Parameters of each catalog family, in config order; a family with one
 # parameter always estimates it.
 PARAMS = {"pt": ("s", "alpha"), "kappa": ("kappa",), "ep_demo": ("alpha",)}
-FAMILIES = (*PARAMS, "custom")
 
 
 @dataclass(frozen=True)

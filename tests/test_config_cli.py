@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure
+from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
-from nhmetro.dynamics import evolve
+from nhmetro.dynamics import evolve, survival_probability
 from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
 from nhmetro.fisher import qfi_generator
 
@@ -230,6 +230,32 @@ class TestCliEstimate:
         assert main(["estimate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
 
 
+    def test_trial_column_names_the_rng_stream(self, tmp_path, ket0, proj0):
+        # the bracket covers about +-1.3 sigma of the shot frequency, so some
+        # trials fail; each written row keeps the k of its trial_rng(seed, k)
+        seed, n, trials, t, bracket = 20260823, 2000, 12, math.pi / 8, [0.97, 1.03]
+        doc = base_config(time_grid={"start": t, "stop": t, "steps": 1},
+                          estimation={"n": n, "trials": trials, "seed": seed,
+                                      "bracket": bracket})
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == 0
+        model = pt_model(1.0, math.pi / 4, "s")
+        p = survival_probability(evolve(model, 1.0, t, ket0), proj0)
+        expected = []
+        for k in range(trials):
+            x = estimate.sample_shots(p, n, estimate.trial_rng(seed, k))
+            est = estimate.mle_invert(model, t, ket0, proj0, [x / n], bracket).estimates[0]
+            if not np.isnan(est):
+                expected.append([cli._fmt(t), str(k), cli._fmt(est)])
+        rows = [line.split(",")
+                for line in (tmp_path / "est.csv.trials.csv").read_text().split("\n")[1:]
+                if line]
+        assert 0 < len(expected) < trials
+        assert [int(row[1]) for row in expected] != list(range(len(expected)))
+        assert rows == expected
+        assert out.read_text().split("\n")[1].split(",")[-1] == str(trials - len(expected))
+
     def test_failed_p0_is_a_failed_row(self, tmp_path, monkeypatch):
         real = cli.survival_probability
 
@@ -311,9 +337,9 @@ class TestCliOptimalAndDilate:
         assert rows[2][1:] == ["nan"] * 5
         assert all("nan" not in row[5] for i, row in enumerate(rows) if i != 2)
 
-    def test_optimal_row_evolves_four_times_and_builds_h_once(self, tmp_path, monkeypatch):
-        # One evolution and one generator for phi, f and sqrtF; three
-        # evolutions for the central-difference precision_ep.
+    def test_optimal_row_evolves_twice_and_builds_h_once(self, tmp_path, monkeypatch):
+        # One evolution and one generator for phi, f and sqrtF; one stacked
+        # evolution for the central-difference precision_ep.
         evolves, generators = [], []
         for module in (cli, fisher, measure):
             real = module.evolve
@@ -330,7 +356,7 @@ class TestCliOptimalAndDilate:
             probe_sweep={"start": "0deg", "stop": "45deg", "steps": 6})
         assert main(["optimal", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "opt.csv"), "--quiet"]) == 0
-        assert len(evolves) == 4 * 6
+        assert len(evolves) == 2 * 6
         assert len(generators) == 6
 
     def test_optimal_probe_sweep(self, tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from nhmetro import estimate, linalg, pt_model, kappa_model
 from nhmetro.dynamics import evolve, survival_probability
 from nhmetro.errors import AllTrialsFailed, NotBracketed, Unconverged
-from nhmetro.estimate import (SCAN_POINTS, ShotRecord, mle_invert, run_trials,
-                              sample_shots, trial_rng)
+from nhmetro.estimate import SCAN_POINTS, mle_invert, run_trials, sample_shots, trial_rng
 
 from conftest import BRACKETS, MLE_SEED
 
@@ -15,14 +14,14 @@ from conftest import BRACKETS, MLE_SEED
 class TestSampleShots:
     def test_degenerate_probabilities(self):
         rng = trial_rng(0, 0)
-        assert sample_shots(0.0, 1000, rng).x == 0
-        assert sample_shots(1.0, 1000, rng).x == 1000
+        assert sample_shots(0.0, 1000, rng) == 0
+        assert sample_shots(1.0, 1000, rng) == 1000
 
     def test_concentration(self):
         p, n = 0.9104, 10 ** 6
-        shot = sample_shots(p, n, trial_rng(123, 0))
+        x = sample_shots(p, n, trial_rng(123, 0))
         sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(shot.p_hat - p) < 5 * sigma
+        assert abs(x / n - p) < 5 * sigma
 
     def test_documented_prng_vectors(self):
         # frozen draws for the documented seeding scheme (PCG64 via
@@ -32,18 +31,13 @@ class TestSampleShots:
         assert trial_rng(42, 1).binomial(2000, 0.5) == 982
         assert trial_rng(7, 0).binomial(100, 0.25) == 26
 
-    def test_shot_record_validation(self):
-        with pytest.raises(ValueError):
-            ShotRecord(n=10, x=11, p_hat=1.1)
-
 
 class TestMleInvert:
     def test_exact_recovery(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         t = math.pi / 4
         p = survival_probability(evolve(m, 1.0, t, ket0), proj0)
-        shot = ShotRecord(n=1, x=0, p_hat=p)  # p_hat carries the exact value
-        inversion = mle_invert(m, t, ket0, proj0, [shot], (0.7, 1.3))
+        inversion = mle_invert(m, t, ket0, proj0, [p], (0.7, 1.3))
         assert inversion.monotone
         assert abs(inversion.estimates[0] - 1.0) < 1e-9
 
@@ -53,22 +47,21 @@ class TestMleInvert:
         m = pt_model(1.0, math.pi / 4, "s")
         t, lo, hi = math.pi / 4, 0.7, 1.3
         grid = np.linspace(lo, hi, SCAN_POINTS)
-        shots = [ShotRecord(n=1, x=0, p_hat=survival_probability(evolve(m, th, t, ket0), proj0))
-                 for th in (grid[5], grid[-1])]
-        estimates = mle_invert(m, t, ket0, proj0, shots, (lo, hi)).estimates
+        frequencies = [survival_probability(evolve(m, th, t, ket0), proj0)
+                       for th in (grid[5], grid[-1])]
+        estimates = mle_invert(m, t, ket0, proj0, frequencies, (lo, hi)).estimates
         assert estimates.tolist() == [grid[5], grid[-1]]
 
     def test_no_root_outside_range(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
-        shot = ShotRecord(n=10, x=10, p_hat=1.0)  # p never reaches 1 on this bracket
-        estimates = mle_invert(m, math.pi / 4, ket0, proj0, [shot], (0.9, 1.1)).estimates
+        # p never reaches 1 on this bracket
+        estimates = mle_invert(m, math.pi / 4, ket0, proj0, [1.0], (0.9, 1.1)).estimates
         assert estimates.shape == (1,) and np.isnan(estimates[0])
 
     def test_empty_bracket(self, ket0, proj0):
-        shot = ShotRecord(n=10, x=5, p_hat=0.5)
         m = pt_model(1.0, math.pi / 4, "s")
         with pytest.raises(NotBracketed):
-            mle_invert(m, 1.0, ket0, proj0, [shot], (1.2, 0.8))
+            mle_invert(m, 1.0, ket0, proj0, [0.5], (1.2, 0.8))
         with pytest.raises(NotBracketed):
             run_trials(m, 1.0, 1.0, ket0, proj0, 10, 2, 0, (1.2, 0.8))
 
@@ -121,17 +114,19 @@ class TestRunTrials:
 
 
 def single_shot_inversions(model, theta_true, t, psi0, A, n, trials, seed, bracket):
-    """Estimates and failure count from one `mle_invert` call per shot."""
+    """Estimates, their trial numbers and the failure count from one
+    `mle_invert` call per trial."""
     p = survival_probability(evolve(model, theta_true, t, psi0), A)
-    estimates, failed = [], 0
+    estimates, solved, failed = [], [], 0
     for k in range(trials):
-        shot = sample_shots(p, n, trial_rng(seed, k))
-        est = mle_invert(model, t, psi0, A, [shot], bracket).estimates[0]
+        x = sample_shots(p, n, trial_rng(seed, k))
+        est = mle_invert(model, t, psi0, A, [x / n], bracket).estimates[0]
         if np.isnan(est):
             failed += 1
         else:
             estimates.append(est)
-    return np.array(estimates), failed
+            solved.append(k)
+    return np.array(estimates), solved, failed
 
 
 class TestSharedScan:
@@ -144,7 +139,7 @@ class TestSharedScan:
         args = (self.PT_S, 1.0, 10 * math.pi / 8, ket0, proj0, 2000, 150, MLE_SEED,
                 BRACKETS["pt-s"][9])
         run = run_trials(*args)
-        estimates, failed = single_shot_inversions(*args)
+        estimates, _, failed = single_shot_inversions(*args)
         assert np.array_equal(run.estimates, estimates)
         assert run.failed_trials == failed == 0
         assert not run.non_monotone_scan
@@ -154,10 +149,11 @@ class TestSharedScan:
         # so many shot counts have no root inside it
         args = (self.PT_S, 1.0, math.pi / 4, ket0, proj0, 2000, 120, 5, (0.98, 1.02))
         run = run_trials(*args)
-        estimates, failed = single_shot_inversions(*args)
+        estimates, solved, failed = single_shot_inversions(*args)
         assert 0 < run.failed_trials < 120
         assert run.failed_trials == failed
         assert np.array_equal(run.estimates, estimates)
+        assert run.solved_trials.tolist() == solved
 
     def test_evolve_calls_per_run(self, ket0, proj0, monkeypatch):
         calls = []
@@ -171,7 +167,7 @@ class TestSharedScan:
         run = run_trials(self.PT_S, 1.0, t, ket0, proj0, n, trials, MLE_SEED,
                          BRACKETS["pt-s"][9])
         p = survival_probability(evolve(self.PT_S, 1.0, t, ket0), proj0)
-        distinct = {sample_shots(p, n, trial_rng(MLE_SEED, k)).x for k in range(trials)}
+        distinct = {sample_shots(p, n, trial_rng(MLE_SEED, k)) for k in range(trials)}
         assert run.failed_trials == 0
         # one p(theta_true), one batched scan, then one batched call per
         # polish round over every shot count still open
@@ -185,7 +181,7 @@ class TestSharedScan:
         args = (self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 60, 3, (1.5, 2.6))
         run = run_trials(*args)
         assert run.non_monotone_scan
-        estimates, failed = single_shot_inversions(*args)
+        estimates, _, failed = single_shot_inversions(*args)
         assert np.array_equal(run.estimates, estimates)
         assert run.failed_trials == failed
         # the first root is the one left of the minimum, next to the truth
@@ -203,10 +199,10 @@ class TestSharedScan:
     ], ids=["monotone", "failing", "non-monotone"])
     def test_batched_inversion_matches_single_shots(self, ket0, proj0, theta, t, bracket):
         p = survival_probability(evolve(self.PT_S, theta, t, ket0), proj0)
-        shots = [sample_shots(p, 2000, trial_rng(3, k)) for k in range(40)]
-        batched = mle_invert(self.PT_S, t, ket0, proj0, shots, bracket).estimates
-        single = [mle_invert(self.PT_S, t, ket0, proj0, [shot], bracket).estimates[0]
-                  for shot in shots]
+        frequencies = [sample_shots(p, 2000, trial_rng(3, k)) / 2000 for k in range(40)]
+        batched = mle_invert(self.PT_S, t, ket0, proj0, frequencies, bracket).estimates
+        single = [mle_invert(self.PT_S, t, ket0, proj0, [q], bracket).estimates[0]
+                  for q in frequencies]
         assert batched.shape == (40,)
         assert np.array_equal(batched, single, equal_nan=True)
 
@@ -214,6 +210,5 @@ class TestSharedScan:
         monkeypatch.setattr(estimate, "MAX_ROOT_ITER", 1)
         p = survival_probability(evolve(self.PT_S, 1.0, math.pi / 4, ket0), proj0)
         x = round(2000 * p)
-        shot = ShotRecord(n=2000, x=x, p_hat=x / 2000)
         with pytest.raises(Unconverged):
-            mle_invert(self.PT_S, math.pi / 4, ket0, proj0, [shot], (0.62, 1.38))
+            mle_invert(self.PT_S, math.pi / 4, ket0, proj0, [x / 2000], (0.62, 1.38))

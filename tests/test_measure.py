@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhmetro import linalg, pt_model, kappa_model, custom_model, ep_demo_model
-from nhmetro.dynamics import evolve
+from nhmetro.dynamics import evolve, expectation
 from nhmetro.errors import Degenerate, NotHermitian, ZeroG
 from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_generator, qfi_record
 from nhmetro.measure import (Observable, centered_generator_state,
@@ -91,6 +91,24 @@ class TestErrorPropagation:
         t = 0.05
         prec = error_propagation_precision(m, 1.0, t, plus, Observable(linalg.SIGMA_X, "X"))
         assert abs(prec - t) < 1e-6
+
+    def test_stacked_evolve_matches_three_single_evolves(self):
+        # the precision from one stacked evolve over (theta + eps, theta - eps,
+        # theta) equals, bit for bit, the one from three single evolves
+        points, rng = random_points(60, 11)
+        assert {model.family for model, *_ in points} == {"pt", "kappa", "ep_demo"}
+        for model, theta, t, psi0 in points:
+            A = random_hermitian(rng)
+            eps = 1e-5 * max(1.0, abs(theta))
+
+            def mean_A(th):
+                return expectation(evolve(model, th, t, psi0).phi_out, A)
+
+            slope = (mean_A(theta + eps) - mean_A(theta - eps)) / (2 * eps)
+            phi = evolve(model, theta, t, psi0).phi_out
+            var = expectation(phi, A @ A) - expectation(phi, A) ** 2
+            assert (error_propagation_precision(model, theta, t, psi0, Observable(A))
+                    == abs(slope) / np.sqrt(var))
 
     def test_degenerate(self, ket0):
         # the identity carries no signal: zero slope and zero variance

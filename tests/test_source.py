@@ -1,6 +1,7 @@
 """Source-level guards over the `nhmetro` package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nhmetro
@@ -86,3 +87,51 @@ def test_config_converts_values_only_in_its_readers():
                 found.append((getattr(function, "name", None), node.lineno))
     assert found, "config.py converts no values"
     assert [f for f in found if f[0] not in CONFIG_READERS] == []
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_DIRS = ("src", "tests", "perfbench")
+
+
+def _identifiers(node):
+    """Names a statement uses: variables, attributes, imported names, and
+    strings that spell an identifier or a dotted path (monkeypatch targets,
+    the benchmark's traced-function tables)."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.alias):
+            found.update(child.name.split("."))
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+              and all(part.isidentifier() for part in child.value.split("."))):
+            found.update(child.value.split("."))
+    return found
+
+
+def test_every_public_name_is_used():
+    # A public module-level name that nothing reads outside its own
+    # definition is dead code; dunder names are exempt.
+    uses = Counter()
+    for directory in REFERENCE_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            for statement in ast.parse(path.read_text(), filename=str(path)).body:
+                uses.update(_identifiers(statement))
+    dead = []
+    for path in MODULES:
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = {statement.name}
+            elif isinstance(statement, ast.Assign):
+                names = {target.id for target in statement.targets
+                         if isinstance(target, ast.Name)}
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                names = {statement.target.id}
+            else:
+                continue
+            own = _identifiers(statement)
+            dead += [f"{path.name}:{statement.lineno} {name}" for name in names
+                     if not name.startswith("_") and uses[name] - (name in own) == 0]
+    assert dead == []
