@@ -23,9 +23,9 @@ import numpy as np
 
 from . import dilation, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
-from .dynamics import check_projector, evolve, survival_probability
-from .errors import (AllTrialsFailed, ConfigError, Degenerate, NotProjector, NumericsError,
-                     UnsupportedFamily, UnsupportedProbe, ZeroG)
+from .dynamics import check_projector, evolve, outcome_probability
+from .errors import (AllTrialsFailed, ConfigError, Degenerate, NotHermitian, NotProjector,
+                     NumericsError, UnsupportedFamily, UnsupportedProbe, ZeroG)
 from .estimate import run_trials
 from .fisher import qfi_centered, qfi_closed_form, qfi_record, qfi_state_derivative
 from .models import hamiltonian
@@ -75,6 +75,8 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
+    if cfg.probe_sweep is not None:
+        raise ConfigError("probe_sweep", "qfi sweeps time only")
     theta = cfg.model.true_value
     partial = False
     with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
@@ -110,7 +112,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     theta = cfg.model.true_value
     spec = cfg.estimation
     try:
-        check_projector(cfg.measurement)
+        A = check_projector(cfg.measurement)
     except NotProjector as exc:
         raise ConfigError("measurement.matrix", f"estimate needs a rank-1 projector: {exc}")
     partial = False
@@ -120,11 +122,11 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
         for idx, (sweep_value, probe, t) in enumerate(points):
             p0 = None
             try:
-                p0 = survival_probability(evolve(cfg.model, theta, t, probe), cfg.measurement)
+                p0 = outcome_probability(evolve(cfg.model, theta, t, probe).phi_out, A)
                 # one bracket for the whole sweep, or one per point
                 bracket = spec.bracket[idx if len(spec.bracket) > 1 else 0]
-                run = run_trials(cfg.model, theta, t, probe, cfg.measurement,
-                                 spec.n, spec.trials, spec.seed, bracket)
+                run = run_trials(cfg.model, t, probe, A, p0, spec.n, spec.trials,
+                                 spec.seed, bracket)
                 if run.non_monotone_scan:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")
@@ -143,10 +145,13 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
     sweep_name, points = _sweep_points(cfg)
     theta = cfg.model.true_value
+    try:
+        observable = measure.Observable(cfg.measurement, "configured")
+    except NotHermitian as exc:
+        raise ConfigError("measurement.matrix", f"optimal needs a Hermitian observable: {exc}")
     partial = False
     with _csv_rows(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
                               "precision_ep", "sqrtF"]) as row:
-        observable = measure.Observable(cfg.measurement, "configured")
         for sweep_value, probe, t in points:
             try:
                 phi = evolve(cfg.model, theta, t, probe).phi_out
@@ -178,6 +183,8 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
     """One dilated and one direct evolution over the whole time grid. A
     numerical failure of either fails every row of the config."""
+    if cfg.probe_sweep is not None:
+        raise ConfigError("probe_sweep", "dilate sweeps time only")
     theta = cfg.model.true_value
     times = cfg.time_grid.linspace()
     H = hamiltonian(cfg.model, theta)

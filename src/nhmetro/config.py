@@ -37,8 +37,6 @@ class Grid:
     steps: int
 
     def linspace(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
 
 
@@ -154,11 +152,15 @@ def _parse_probe(doc) -> np.ndarray:
         amps = doc["amplitudes"]
         if not (isinstance(amps, list) and len(amps) == 2):
             raise ConfigError("probe.amplitudes", "expected two amplitudes")
-        vec = np.array([_complex(a, f"probe.amplitudes[{i}]") for i, a in enumerate(amps)])
-        norm = np.linalg.norm(vec)
-        if not 0 < norm < math.inf:
-            raise ConfigError("probe.amplitudes", f"norm {norm} is not positive and finite")
-        return vec / norm
+        parts = np.array([_complex(a, f"probe.amplitudes[{i}]")
+                          for i, a in enumerate(amps)]).view(float)
+        # Scaled to a largest real or imaginary part of 1 first, so the norm
+        # can neither overflow nor underflow.
+        scale = np.abs(parts).max()
+        if scale == 0:
+            raise ConfigError("probe.amplitudes", "all amplitudes are zero")
+        vec = (parts / scale).view(complex)
+        return vec / np.linalg.norm(vec)
     raise ConfigError("probe", "needs 'angle' or 'amplitudes'")
 
 

@@ -45,7 +45,11 @@ class DilationSystem:
 
 def _metric(H):
     """(G, w^2) with G = w^2 I + B^dag B for H = cI + B, B^2 = w^2 I; raises
-    NoPositiveSolution in the broken regime and at the EP. H = cI gives
+    NoPositiveSolution in the broken regime and at the EP.
+
+    eta = G / tr G is the unit-trace metric with eta H = H^dag eta:
+    G B = w^2 (B + B^dag) = B^dag G for real w^2, and G is positive definite
+    for w^2 > 0 (Mostafazadeh, J. Math. Phys. 43, 205 (2002)). H = cI gives
     G = I, w^2 = 1/2, which keeps eta = I/2, c = 4 and zeta = I exact."""
     H = linalg.as_matrix(H)
     if H.shape != (2, 2):
@@ -63,16 +67,6 @@ def _metric(H):
     if w2.real < 0 or abs(cmath.sqrt(w2).imag) > tol:
         raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
     return _hermitian(w2.real * np.eye(2) + linalg.dagger(B) @ B), w2.real
-
-
-def solve_eta(H) -> np.ndarray:
-    """Positive-definite Hermitian metric with eta H = H^dag eta, unit trace.
-
-    eta = G / tr G: G B = w^2 (B + B^dag) = B^dag G for real w^2, and G is
-    positive definite for w^2 > 0 (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).
-    """
-    G, _ = _metric(H)
-    return G / np.trace(G).real
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:

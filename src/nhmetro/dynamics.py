@@ -1,4 +1,8 @@
-"""Non-unitary evolution, output-state normalization, and outcome statistics."""
+"""Non-unitary evolution, output-state normalization, and outcome statistics.
+
+An outcome probability is `outcome_probability(evolve(...).phi_out, A)` for a
+projector A that passed `check_projector` once.
+"""
 
 from __future__ import annotations
 
@@ -35,14 +39,12 @@ def check_normalized(v) -> np.ndarray:
 class EvolutionResult:
     """Output of a non-unitary evolution step.
 
-    psi_out_raw is the unnormalized U |psi0>; phi_out is normalized and
-    phase-fixed; K is the squared norm of the raw output (the trace of the
-    unnormalized output density matrix). For an array of theta or of t every
-    field gains a leading axis over it and K is an array.
+    phi_out is the normalized, phase-fixed U |psi0>; K is the squared norm of
+    the raw output U |psi0> (the trace of the unnormalized output density
+    matrix). For an array of theta or of t both fields gain a leading axis
+    over it and K is an array.
     """
 
-    U: np.ndarray
-    psi_out_raw: np.ndarray
     phi_out: np.ndarray
     K: float | np.ndarray
 
@@ -66,14 +68,13 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     else:
         H = np.array([hamiltonian(model, th) for th in theta])
     generator = (-1j * times)[..., None, None] * H
-    U = linalg.mat_exp(generator)
-    raw = U @ psi0
+    raw = linalg.mat_exp(generator) @ psi0
     if raw.ndim == 1:
         K = float(np.vdot(raw, raw).real)
-        return EvolutionResult(U=U, psi_out_raw=raw, phi_out=fix_phase(raw / np.sqrt(K)), K=K)
+        return EvolutionResult(phi_out=fix_phase(raw / np.sqrt(K)), K=K)
     K = np.array([np.vdot(r, r).real for r in raw])
     phi = np.array([fix_phase(r / np.sqrt(k)) for r, k in zip(raw, K)])
-    return EvolutionResult(U=U, psi_out_raw=raw, phi_out=phi, K=K)
+    return EvolutionResult(phi_out=phi, K=K)
 
 
 def check_projector(A) -> np.ndarray:
@@ -105,8 +106,3 @@ def outcome_probability(phi: np.ndarray, A: np.ndarray) -> float:
     if not -NORMALIZATION_TOL <= p <= 1.0 + NORMALIZATION_TOL:
         raise NotNormalized(f"outcome probability {p!r} lies outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
-
-
-def survival_probability(res: EvolutionResult, A) -> float:
-    """Probability of the outcome associated with the rank-1 projector A."""
-    return outcome_probability(res.phi_out, check_projector(A))

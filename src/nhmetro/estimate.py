@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import check_projector, evolve, outcome_probability, survival_probability
+from .dynamics import check_projector, evolve, outcome_probability
 from .errors import AllTrialsFailed, NotBracketed, Unconverged
 from .models import HamiltonianModel
 
@@ -27,13 +27,10 @@ MAX_ROOT_ITER = 200
 
 @dataclass(frozen=True)
 class EstimationRun:
-    trials: int
     estimates: np.ndarray
     # k of the trial_rng(seed, k) behind each estimate; failed trials have none
     solved_trials: np.ndarray
     mean: float
-    sigma: float
-    sigma_err: float
     precision: float
     precision_err: float
     failed_trials: int
@@ -145,9 +142,10 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket)
     return Inversion(estimates=roots[inverse], monotone=monotone)
 
 
-def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
+def run_trials(model: HamiltonianModel, t: float, psi0, A, p: float,
                n: int, trials: int, seed: int, bracket) -> EstimationRun:
-    """Repeat (sample n shots, invert the MLE) `trials` times and summarize.
+    """Repeat (sample n shots of the outcome of probability p, invert the
+    MLE) `trials` times and summarize; p is the caller's p(theta_true).
 
     Failed inversions (no root on the bracket) are counted and excluded
     from the statistics, never silently dropped. All shots go through one
@@ -155,7 +153,6 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
     """
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
-    p = survival_probability(evolve(model, theta_true, t, psi0), A)
     frequencies = [sample_shots(p, n, trial_rng(seed, k)) / n for k in range(trials)]
     inversion = mle_invert(model, t, psi0, A, frequencies, bracket)
     solved = np.flatnonzero(~np.isnan(inversion.estimates))
@@ -166,17 +163,13 @@ def run_trials(model: HamiltonianModel, theta_true: float, t: float, psi0, A,
 
     mean = float(estimates.mean())
     sigma = float(estimates.std(ddof=1)) if len(estimates) > 1 else 0.0
-    spread = np.sqrt(2.0 * (trials - 1))
     precision = 1.0 / (sigma * np.sqrt(n)) if sigma > 0 else np.inf
     return EstimationRun(
-        trials=trials,
         estimates=estimates,
         solved_trials=solved,
         mean=mean,
-        sigma=sigma,
-        sigma_err=sigma / spread,
         precision=precision,
-        precision_err=precision / spread,
+        precision_err=precision / np.sqrt(2.0 * (trials - 1)),
         failed_trials=failed,
         non_monotone_scan=not inversion.monotone,
     )

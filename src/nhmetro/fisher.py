@@ -195,13 +195,9 @@ def qfi_closed_form(model: HamiltonianModel, theta: float, t: float, psi0=None) 
 
 @dataclass(frozen=True)
 class QFIRecord:
-    """QFI bundle at one (theta, t) point: generator, F, K, I = K F, the
-    generator's eigenvalue gap, and the normalized output state F is taken on."""
+    """QFI bundle at one (theta, t) point: F, K, I = K F and the generator's
+    eigenvalue gap."""
 
-    theta: float
-    t: float
-    h: np.ndarray
-    phi_out: np.ndarray
     F: float
     K: float
     I: float
@@ -219,6 +215,4 @@ def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIReco
     res = evolve(model, theta, t, psi0)
     h = generator_closed_form(model, theta, t)
     F = qfi_generator(h, res.phi_out)
-    gap = eigen_gap(h)
-    return QFIRecord(theta=theta, t=t, h=h, phi_out=res.phi_out, F=F, K=res.K,
-                     I=res.K * F, gap=gap)
+    return QFIRecord(F=F, K=res.K, I=res.K * F, gap=eigen_gap(h))

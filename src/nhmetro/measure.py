@@ -54,9 +54,6 @@ class OptimalityReport:
     c: complex
     c_imag_fraction: float
 
-    def is_optimal(self, tol: float = 1e-6) -> bool:
-        return self.residual < tol and self.c_imag_fraction < tol
-
 
 def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
                                 psi0, A: Observable) -> float:

@@ -1,7 +1,7 @@
 """Catalog of parametric non-Hermitian Hamiltonians with analytic derivatives.
 
-Besides H(theta) and dH/dtheta, the pt and kappa families carry closed-form
-evolution operators that serve as independent references in the tests.
+Each family gives H(theta) and dH/dtheta; the closed-form evolution operators
+that the tests use as independent references live in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -115,28 +115,3 @@ def d_hamiltonian(model: HamiltonianModel, theta: float) -> np.ndarray:
         return np.asarray(model.d_func(theta), dtype=complex)
     raise UnsupportedFamily(f"unknown family {model.family!r}")
 
-
-def closed_form_U(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
-    """Analytic evolution operator for the pt and kappa families."""
-    if model.family == "pt":
-        p = model.bound_params(theta)
-        s, alpha = p["s"], p["alpha"]
-        x = t * s * math.cos(alpha)
-        sec = 1.0 / math.cos(alpha)
-        return sec * np.array(
-            [
-                [math.cos(x - alpha), -1j * math.sin(x)],
-                [-1j * math.sin(x), math.cos(x + alpha)],
-            ]
-        )
-    if model.family == "kappa":
-        kappa = model.bound_params(theta)["kappa"]
-        rk = math.sqrt(kappa)
-        x = t * rk
-        return np.array(
-            [
-                [math.cos(x), -1j * rk * math.sin(x)],
-                [-1j / rk * math.sin(x), math.cos(x)],
-            ]
-        )
-    raise UnsupportedFamily(f"no closed-form evolution for family {model.family!r}")

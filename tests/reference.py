@@ -41,3 +41,29 @@ def h_eigen_oracle(model: HamiltonianModel, theta: float, t: float):
         lam = sec2 * csqrt(radicand)
         return lam, -lam
     raise UnsupportedFamily(f"no generator eigenvalue formula for family {model.family!r}")
+
+
+def closed_form_U(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
+    """Analytic evolution operator for the pt and kappa families."""
+    if model.family == "pt":
+        p = model.bound_params(theta)
+        s, alpha = p["s"], p["alpha"]
+        x = t * s * math.cos(alpha)
+        sec = 1.0 / math.cos(alpha)
+        return sec * np.array(
+            [
+                [math.cos(x - alpha), -1j * math.sin(x)],
+                [-1j * math.sin(x), math.cos(x + alpha)],
+            ]
+        )
+    if model.family == "kappa":
+        kappa = model.bound_params(theta)["kappa"]
+        rk = math.sqrt(kappa)
+        x = t * rk
+        return np.array(
+            [
+                [math.cos(x), -1j * rk * math.sin(x)],
+                [-1j / rk * math.sin(x), math.cos(x)],
+            ]
+        )
+    raise UnsupportedFamily(f"no closed-form evolution for family {model.family!r}")

@@ -17,8 +17,8 @@ import pytest
 
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.config import load_config
-from nhmetro.dilation import build_dilation, evolve_dilated, solve_eta
-from nhmetro.dynamics import evolve, survival_probability
+from nhmetro.dilation import build_dilation, evolve_dilated
+from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import Degenerate
 from nhmetro.estimate import run_trials
 from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_centered,
@@ -57,12 +57,12 @@ def test_qfi_reference_tables():
 def test_survival_probability_reference_tables():
     # p0(t) for the pt model, 5e-4; p0(phi) for the probe sweep, 1e-3
     for k, ref in zip(range(1, 11), P0_TIME):
-        res = evolve(PT_S, 1.0, k * math.pi / 8, KET0)
-        assert abs(survival_probability(res, PROJ0) - ref) < 5e-4, k
+        phi = evolve(PT_S, 1.0, k * math.pi / 8, KET0).phi_out
+        assert abs(outcome_probability(phi, PROJ0) - ref) < 5e-4, k
     m = pt_model(1.0, math.pi / 10, "alpha")
     for phi_deg, ref in zip(np.linspace(0.0, 45.0, 11), P0_PROBE):
-        res = evolve(m, math.pi / 10, T18, probe_state(float(phi_deg)))
-        assert abs(survival_probability(res, PROJ0) - ref) < 1e-3, phi_deg
+        phi = evolve(m, math.pi / 10, T18, probe_state(float(phi_deg))).phi_out
+        assert abs(outcome_probability(phi, PROJ0) - ref) < 1e-3, phi_deg
 
 
 def test_qfi_route_agreement():
@@ -128,8 +128,8 @@ def test_mle_precision_tracks_qfi():
                 continue
             bracket = BRACKETS[label][idx] if label != "pt-alpha" \
                 else BRACKETS[label][idx + 1]
-            run = run_trials(model, theta, t, KET0, PROJ0, n, trials,
-                             MLE_SEED, bracket)
+            p = outcome_probability(evolve(model, theta, t, KET0).phi_out, PROJ0)
+            run = run_trials(model, t, KET0, PROJ0, p, n, trials, MLE_SEED, bracket)
             sqrt_f_exact = math.sqrt(qfi_closed_form(model, theta, t, KET0))
             assert abs(run.precision / sqrt_f_exact - 1.0) < 0.10, (label, t)
             if t >= bias_floor:
@@ -182,7 +182,7 @@ def test_dilation_equivalence():
             assert abs(np.vdot(recovered, direct.phi_out)) >= 1 - 1e-8
 
     # zeta is invariant under rescaling the metric
-    eta = solve_eta(hamiltonian(PT_ALPHA, math.pi / 4))
+    eta = build_dilation(hamiltonian(PT_ALPHA, math.pi / 4)).eta
 
     def zeta_of(e):
         return float(np.sum(1.0 / np.linalg.eigvalsh(e))) * e - np.eye(2)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
 from nhmetro.config import parse_config, probe_from_angle
-from nhmetro.dynamics import evolve, survival_probability
+from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
 from nhmetro.fisher import qfi_generator
 
@@ -53,6 +54,17 @@ class TestConfigParsing:
     def test_probe_normalized(self):
         cfg = parse_config(base_config(probe={"amplitudes": [[3.0, 0.0], [0.0, 4.0]]}))
         assert abs(np.linalg.norm(cfg.probe) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("amplitudes, expected", [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([1e-200, 1e-200], [math.sqrt(0.5)] * 2),
+    ], ids=["large", "small"])
+    def test_probe_amplitudes_of_any_magnitude(self, amplitudes, expected):
+        # the norm of the raw amplitudes would overflow or underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = parse_config(base_config(probe={"amplitudes": amplitudes}))
+        assert np.abs(cfg.probe - expected).max() <= 1e-15
 
     def test_missing_field_names_path(self):
         doc = base_config()
@@ -241,7 +253,7 @@ class TestCliEstimate:
         assert main(["estimate", "--config", write_config(tmp_path, doc),
                      "--out", str(out), "--quiet"]) == 0
         model = pt_model(1.0, math.pi / 4, "s")
-        p = survival_probability(evolve(model, 1.0, t, ket0), proj0)
+        p = outcome_probability(evolve(model, 1.0, t, ket0).phi_out, proj0)
         expected = []
         for k in range(trials):
             x = estimate.sample_shots(p, n, estimate.trial_rng(seed, k))
@@ -257,16 +269,16 @@ class TestCliEstimate:
         assert out.read_text().split("\n")[1].split(",")[-1] == str(trials - len(expected))
 
     def test_failed_p0_is_a_failed_row(self, tmp_path, monkeypatch):
-        real = cli.survival_probability
+        real = cli.outcome_probability
 
-        def failing_at_second_point(res, A):
+        def failing_at_second_point(phi, A):
             failing_at_second_point.calls += 1
             if failing_at_second_point.calls == 2:
                 raise NotNormalized("injected")
-            return real(res, A)
+            return real(phi, A)
 
         failing_at_second_point.calls = 0
-        monkeypatch.setattr(cli, "survival_probability", failing_at_second_point)
+        monkeypatch.setattr(cli, "outcome_probability", failing_at_second_point)
         doc = base_config(
             time_grid={"start": math.pi / 4, "stop": math.pi / 2, "steps": 2},
             estimation={"n": 200, "trials": 2, "seed": 7, "bracket": [0.6, 1.4]})
@@ -526,6 +538,23 @@ class TestMalformedInput:
         # any Hermitian observable still suits `optimal`
         assert main(["optimal", "--config", cfg, "--out", str(tmp_path / "opt.csv"),
                      "--quiet"]) == 0
+
+    def test_optimal_needs_a_hermitian_observable(self, tmp_path, capsys):
+        doc = shipped_config("optimal_probe_sweep.json")
+        doc["measurement"] = {"matrix": [[1, 1], [0, 0]]}
+        out = tmp_path / "opt.csv"
+        assert main(["optimal", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: measurement.matrix: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qfi", "dilate"])
+    def test_time_sweep_commands_reject_a_probe_sweep(self, tmp_path, capsys, command):
+        doc = base_config(probe_sweep={"start": "0deg", "stop": "45deg", "steps": 3})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: probe_sweep: ")
+        assert not out.exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
-from nhmetro.dilation import build_dilation, evolve_dilated, solve_eta
+from nhmetro.dilation import build_dilation, evolve_dilated
 from nhmetro.dynamics import evolve
 from nhmetro.errors import NoPositiveSolution
 from nhmetro.models import hamiltonian
@@ -36,19 +36,21 @@ def unbroken_points():
 
 
 class TestSolveEta:
+    """The metric eta of `build_dilation`."""
+
     def test_hermitian_input(self):
-        eta = solve_eta(linalg.SIGMA_Z)
+        eta = build_dilation(linalg.SIGMA_Z).eta
         assert np.allclose(eta, np.eye(2) / 2, atol=1e-12)
 
     def test_pt_metric(self):
         H = pt_hamiltonian(math.pi / 4)
-        eta = solve_eta(H)
+        eta = build_dilation(H).eta
         assert np.linalg.norm(eta @ H - linalg.dagger(H) @ eta) < 1e-12
         assert np.linalg.eigvalsh(eta).min() > 0
         assert abs(np.trace(eta).real - 1.0) < 1e-12
 
     def test_condition_number_diverges_near_broken_regime(self):
-        conds = [np.linalg.cond(solve_eta(pt_hamiltonian(a)))
+        conds = [np.linalg.cond(build_dilation(pt_hamiltonian(a)).eta)
                  for a in [0.8, 1.2, 1.4, math.pi / 2 - 1e-3]]
         assert all(a < b for a, b in zip(conds, conds[1:]))
         assert conds[-1] > 1e5
@@ -57,34 +59,34 @@ class TestSolveEta:
         # complex spectrum: no positive metric exists
         H = np.array([[1j, 0.1], [0.1, -1j]])
         with pytest.raises(NoPositiveSolution):
-            solve_eta(H)
+            build_dilation(H)
 
     def test_kappa_metric_is_diagonal(self):
         # eigenvectors (+-sqrt(kappa), 1): (V V^dag)^-1 is proportional to diag(1, kappa)
         for kappa in [0.05, 0.5, 2.0, 7.5, 100.0]:
-            eta = solve_eta(hamiltonian(kappa_model(kappa), kappa))
+            eta = build_dilation(hamiltonian(kappa_model(kappa), kappa)).eta
             assert np.abs(eta - np.diag([1.0, kappa]) / (1.0 + kappa)).max() <= 1e-14
 
     def test_defective_raises(self):
         # ep_demo at its EP, alpha = pi/4: one eigenvector, no metric
         H = np.array([[1j, 1.0], [1.0, -1j]]) / math.sqrt(2)
         with pytest.raises(NoPositiveSolution):
-            solve_eta(H)
+            build_dilation(H)
 
     def test_ep_boundary(self):
         # B = [[0, 1], [delta, 0]]: w^2 = delta, ||B||^2 = 1 + delta^2 = 1 in
         # floating point, so the EP test |w^2| <= 1e-14 ||B||^2 flips at 1e-14.
         for delta in (1e-14, -1e-14):
             with pytest.raises(NoPositiveSolution, match="exceptional point"):
-                solve_eta(np.array([[0.0, 1.0], [delta, 0.0]]))
+                build_dilation(np.array([[0.0, 1.0], [delta, 0.0]]))
         with pytest.raises(NoPositiveSolution, match="broken regime"):
-            solve_eta(np.array([[0.0, 1.0], [-1.01e-14, 0.0]]))
+            build_dilation(np.array([[0.0, 1.0], [-1.01e-14, 0.0]]))
         # eigenvalues +-3.2e-9 i: below the 1e-8 imaginary-part tolerance,
         # so only the sign of w^2 = -1e-17 shows the broken regime
         with pytest.raises(NoPositiveSolution, match="broken regime"):
-            solve_eta(np.array([[0.0, 1e-4], [-1e-13, 0.0]]))
+            build_dilation(np.array([[0.0, 1e-4], [-1e-13, 0.0]]))
         H = np.array([[0.0, 1.0], [1.01e-14, 0.0]], dtype=complex)
-        eta = solve_eta(H)
+        eta = build_dilation(H).eta
         assert np.linalg.eigvalsh(eta).min() > 0
         assert np.linalg.norm(eta @ H - linalg.dagger(H) @ eta) <= 1e-28
 
@@ -94,7 +96,7 @@ class TestSolveEta:
         psi0 = np.array([0.6, 0.8], dtype=complex)
         for c in (0.0, 2.5):
             H = c * np.eye(2, dtype=complex)
-            assert np.array_equal(solve_eta(H), np.eye(2) / 2)
+            assert np.array_equal(build_dilation(H).eta, np.eye(2) / 2)
             sys_ = build_dilation(H)
             assert sys_.c == 4.0 and np.array_equal(sys_.zeta, np.eye(2))
             assert np.array_equal(sys_.H_s, H) and not sys_.V.any()
@@ -104,7 +106,7 @@ class TestSolveEta:
 
     @pytest.mark.parametrize("name,H", unbroken_points())
     def test_unbroken_metric(self, name, H):
-        eta = solve_eta(H)
+        eta = build_dilation(H).eta
         resid = np.linalg.norm(eta @ H - linalg.dagger(H) @ eta)
         assert resid <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(eta)
         assert linalg.herm_residual(eta) == 0.0
@@ -134,7 +136,7 @@ class TestBuildDilation:
                                   - z_half @ H @ z_mhalf) < 1e-8
 
     def test_zeta_scale_invariance(self):
-        eta = solve_eta(pt_hamiltonian(math.pi / 4))
+        eta = build_dilation(pt_hamiltonian(math.pi / 4)).eta
 
         def zeta_of(e):
             lam = np.linalg.eigvalsh(e)
@@ -265,7 +267,7 @@ def test_metric_and_zeta_on_random_real_spectra(H):
     _, vecs = np.linalg.eig(H)
     ref = np.linalg.inv(vecs @ linalg.dagger(vecs))
     ref = ref / np.trace(ref).real
-    assert np.linalg.norm(solve_eta(H) - ref) <= 1e-11 * np.linalg.norm(ref)
+    assert np.linalg.norm(build_dilation(H).eta - ref) <= 1e-11 * np.linalg.norm(ref)
     zeta = build_dilation(H).zeta
     assert np.linalg.eigvalsh(zeta).min() > 0
     assert abs(np.linalg.det(zeta) - 1) <= 1e-12 * np.linalg.norm(zeta) ** 2

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhmetro import custom_model, ep_demo_model, kappa_model, linalg, pt_model
-from nhmetro.dynamics import (check_projector, evolve, fix_phase, outcome_probability,
-                              survival_probability)
+from nhmetro.dynamics import check_projector, evolve, fix_phase, outcome_probability
 from nhmetro.errors import NotNormalized, NotProjector, OutOfRange
 
 from conftest import P0_PROBE, P0_TIME, T18, probe_state
@@ -16,17 +15,13 @@ from conftest import P0_PROBE, P0_TIME, T18, probe_state
 class TestEvolve:
     def test_t0(self, ket0):
         res = evolve(pt_model(1.0, math.pi / 4), 1.0, 0.0, ket0)
-        assert np.allclose(res.U, np.eye(2))
         assert abs(res.K - 1.0) < 1e-12
         assert np.allclose(res.phi_out, ket0)
 
     def test_normalization_coefficient(self, ket0):
         res = evolve(pt_model(1.0, math.pi / 4), 1.0, math.pi / 8, ket0)
         assert abs(res.K - 1.6778) < 1e-3
-        assert abs(np.vdot(res.psi_out_raw, res.psi_out_raw).real - res.K) < 1e-12
         assert abs(np.vdot(res.phi_out, res.phi_out).real - 1.0) < 1e-12
-        # first amplitude is already real-positive here, so no phase factor
-        assert np.allclose(res.psi_out_raw, math.sqrt(res.K) * res.phi_out, atol=1e-12)
         assert np.array_equal(res.phi_out, fix_phase(res.phi_out))
 
     def test_hermitian_preserves_norm(self, ket0):
@@ -60,28 +55,28 @@ class TestSurvivalProbability:
     def test_time_table(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4)
         for k, expected in enumerate(P0_TIME, start=1):
-            p = survival_probability(evolve(m, 1.0, k * math.pi / 8, ket0), proj0)
+            p = outcome_probability(evolve(m, 1.0, k * math.pi / 8, ket0).phi_out, proj0)
             assert abs(p - expected) < 5e-4
 
     def test_probe_table(self, proj0):
         m = pt_model(1.0, math.pi / 10, "alpha")
         for i, expected in enumerate(P0_PROBE):
-            p = survival_probability(evolve(m, math.pi / 10, T18, probe_state(4.5 * i)), proj0)
+            p = outcome_probability(evolve(m, math.pi / 10, T18, probe_state(4.5 * i)).phi_out,
+                                    proj0)
             assert abs(p - expected) < 1e-3
 
     def test_complement_sums_to_one(self, ket0):
         m = pt_model(1.0, math.pi / 4)
-        res = evolve(m, 1.0, 1.1, ket0)
-        p0 = survival_probability(res, linalg.projector(linalg.basis_state(0)))
-        p1 = survival_probability(res, linalg.projector(linalg.basis_state(1)))
+        phi = evolve(m, 1.0, 1.1, ket0).phi_out
+        p0 = outcome_probability(phi, linalg.projector(linalg.basis_state(0)))
+        p1 = outcome_probability(phi, linalg.projector(linalg.basis_state(1)))
         assert abs(p0 + p1 - 1.0) < 1e-12
 
-    def test_rejects_non_projector(self, ket0):
-        res = evolve(pt_model(1.0, math.pi / 4), 1.0, 1.0, ket0)
+    def test_rejects_non_projector(self):
         with pytest.raises(NotProjector):
-            survival_probability(res, np.eye(2))
+            check_projector(np.eye(2))
         with pytest.raises(NotProjector):
-            survival_probability(res, np.array([[0.5, 0.5], [0.5, 0.6]]))
+            check_projector(np.array([[0.5, 0.5], [0.5, 0.6]]))
 
 
 def test_check_projector_accepts_rank1():
@@ -115,18 +110,16 @@ def test_stacked_evolve_matches_single_evolves(family, t, probe_deg, data):
     times = data.draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=70))
     psi0 = probe_state(probe_deg)
     stacked = evolve(model, np.array(thetas), t, psi0)
-    assert stacked.U.shape == (len(thetas), 2, 2) and stacked.K.shape == (len(thetas),)
+    assert stacked.phi_out.shape == (len(thetas), 2) and stacked.K.shape == (len(thetas),)
     for i, th in enumerate(thetas):
         assert_same_evolution(stacked, i, evolve(model, th, t, psi0))
     over_t = evolve(model, theta, np.array(times), psi0)
-    assert over_t.U.shape == (len(times), 2, 2) and over_t.K.shape == (len(times),)
+    assert over_t.phi_out.shape == (len(times), 2) and over_t.K.shape == (len(times),)
     for i, tk in enumerate(times):
         assert_same_evolution(over_t, i, evolve(model, theta, tk, psi0))
 
 
 def assert_same_evolution(stacked, i, single):
-    assert np.array_equal(stacked.U[i], single.U)
-    assert np.array_equal(stacked.psi_out_raw[i], single.psi_out_raw)
     assert np.array_equal(stacked.phi_out[i], single.phi_out)
     assert stacked.K[i] == single.K
 

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from nhmetro import estimate, linalg, pt_model, kappa_model
-from nhmetro.dynamics import evolve, survival_probability
+from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import AllTrialsFailed, NotBracketed, Unconverged
 from nhmetro.estimate import SCAN_POINTS, mle_invert, run_trials, sample_shots, trial_rng
 
 from conftest import BRACKETS, MLE_SEED
+
+
+def probability(model, theta, t, psi0, A):
+    """p(theta): the probability of the outcome of the projector A."""
+    return outcome_probability(evolve(model, theta, t, psi0).phi_out, A)
 
 
 class TestSampleShots:
@@ -36,7 +41,7 @@ class TestMleInvert:
     def test_exact_recovery(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         t = math.pi / 4
-        p = survival_probability(evolve(m, 1.0, t, ket0), proj0)
+        p = probability(m, 1.0, t, ket0, proj0)
         inversion = mle_invert(m, t, ket0, proj0, [p], (0.7, 1.3))
         assert inversion.monotone
         assert abs(inversion.estimates[0] - 1.0) < 1e-9
@@ -47,8 +52,7 @@ class TestMleInvert:
         m = pt_model(1.0, math.pi / 4, "s")
         t, lo, hi = math.pi / 4, 0.7, 1.3
         grid = np.linspace(lo, hi, SCAN_POINTS)
-        frequencies = [survival_probability(evolve(m, th, t, ket0), proj0)
-                       for th in (grid[5], grid[-1])]
+        frequencies = [probability(m, th, t, ket0, proj0) for th in (grid[5], grid[-1])]
         estimates = mle_invert(m, t, ket0, proj0, frequencies, (lo, hi)).estimates
         assert estimates.tolist() == [grid[5], grid[-1]]
 
@@ -63,60 +67,59 @@ class TestMleInvert:
         with pytest.raises(NotBracketed):
             mle_invert(m, 1.0, ket0, proj0, [0.5], (1.2, 0.8))
         with pytest.raises(NotBracketed):
-            run_trials(m, 1.0, 1.0, ket0, proj0, 10, 2, 0, (1.2, 0.8))
+            run_trials(m, 1.0, ket0, proj0, 0.5, 10, 2, 0, (1.2, 0.8))
 
 
 class TestRunTrials:
     def test_reproducible(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
-        a = run_trials(m, 1.0, math.pi / 4, ket0, proj0, 500, 20, 99, (0.7, 1.3))
-        b = run_trials(m, 1.0, math.pi / 4, ket0, proj0, 500, 20, 99, (0.7, 1.3))
+        args = (m, math.pi / 4, ket0, proj0, probability(m, 1.0, math.pi / 4, ket0, proj0),
+                500, 20, 99, (0.7, 1.3))
+        a, b = run_trials(*args), run_trials(*args)
         assert np.array_equal(a.estimates, b.estimates)
-        assert a.sigma == b.sigma
+        assert a.precision == b.precision
 
     def test_error_bar_formulas(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
-        run = run_trials(m, 1.0, math.pi / 4, ket0, proj0, 500, 2, 5, (0.7, 1.3))
-        assert run.sigma_err == run.sigma / math.sqrt(2)
+        p = probability(m, 1.0, math.pi / 4, ket0, proj0)
+        run = run_trials(m, math.pi / 4, ket0, proj0, p, 500, 2, 5, (0.7, 1.3))
         assert run.precision_err == run.precision / math.sqrt(2)
-        run = run_trials(m, 1.0, math.pi / 4, ket0, proj0, 500, 50, 5, (0.7, 1.3))
-        spread = math.sqrt(2 * 49)
-        assert run.sigma_err == run.sigma / spread
-        assert run.precision_err == run.precision / spread
+        run = run_trials(m, math.pi / 4, ket0, proj0, p, 500, 50, 5, (0.7, 1.3))
+        assert run.precision_err == run.precision / math.sqrt(2 * 49)
 
     def test_golden_precision_pt_s(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         t = 10 * math.pi / 8
-        run = run_trials(m, 1.0, t, ket0, proj0, 2000, 1000, MLE_SEED,
-                         BRACKETS["pt-s"][9])
+        run = run_trials(m, t, ket0, proj0, probability(m, 1.0, t, ket0, proj0), 2000, 1000,
+                         MLE_SEED, BRACKETS["pt-s"][9])
         assert abs(run.precision - 13.3574) / 13.3574 < 0.08
 
     def test_golden_precision_kappa(self, ket0, proj0):
         m = kappa_model(2.0)
         t = 3 * math.pi / 6
-        run = run_trials(m, 2.0, t, ket0, proj0, 1100, 1000, MLE_SEED,
-                         BRACKETS["kappa"][2])
+        run = run_trials(m, t, ket0, proj0, probability(m, 2.0, t, ket0, proj0), 1100, 1000,
+                         MLE_SEED, BRACKETS["kappa"][2])
         assert abs(run.precision - 1.3985) / 1.3985 < 0.08
 
     def test_sigma_shrinks_with_n(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         t = math.pi / 2
-        bracket = BRACKETS["pt-s"][3]
-        s1 = run_trials(m, 1.0, t, ket0, proj0, 1000, 1000, 11, bracket).sigma
-        s2 = run_trials(m, 1.0, t, ket0, proj0, 2000, 1000, 11, bracket).sigma
+        p, bracket = probability(m, 1.0, t, ket0, proj0), BRACKETS["pt-s"][3]
+        s1 = run_trials(m, t, ket0, proj0, p, 1000, 1000, 11, bracket).estimates.std(ddof=1)
+        s2 = run_trials(m, t, ket0, proj0, p, 2000, 1000, 11, bracket).estimates.std(ddof=1)
         assert abs(s1 / s2 - math.sqrt(2)) < 0.1 * math.sqrt(2)
 
     def test_all_trials_failed(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         # bracket far from the truth: p never reaches the sampled frequencies
         with pytest.raises(AllTrialsFailed):
-            run_trials(m, 1.0, math.pi, ket0, proj0, 2000, 5, 3, (2.9, 3.0))
+            run_trials(m, math.pi, ket0, proj0, probability(m, 1.0, math.pi, ket0, proj0),
+                       2000, 5, 3, (2.9, 3.0))
 
 
-def single_shot_inversions(model, theta_true, t, psi0, A, n, trials, seed, bracket):
+def single_shot_inversions(model, t, psi0, A, p, n, trials, seed, bracket):
     """Estimates, their trial numbers and the failure count from one
     `mle_invert` call per trial."""
-    p = survival_probability(evolve(model, theta_true, t, psi0), A)
     estimates, solved, failed = [], [], 0
     for k in range(trials):
         x = sample_shots(p, n, trial_rng(seed, k))
@@ -135,9 +138,13 @@ class TestSharedScan:
 
     PT_S = pt_model(1.0, math.pi / 4, "s")
 
+    def run_args(self, theta, t, psi0, A, *rest):
+        """run_trials arguments that sample p(theta) of PT_S."""
+        return (self.PT_S, t, psi0, A, probability(self.PT_S, theta, t, psi0, A), *rest)
+
     def test_estimates_match_unscanned_inversions(self, ket0, proj0):
-        args = (self.PT_S, 1.0, 10 * math.pi / 8, ket0, proj0, 2000, 150, MLE_SEED,
-                BRACKETS["pt-s"][9])
+        args = self.run_args(1.0, 10 * math.pi / 8, ket0, proj0, 2000, 150, MLE_SEED,
+                             BRACKETS["pt-s"][9])
         run = run_trials(*args)
         estimates, _, failed = single_shot_inversions(*args)
         assert np.array_equal(run.estimates, estimates)
@@ -147,7 +154,7 @@ class TestSharedScan:
     def test_failed_trials_match_unscanned_inversions(self, ket0, proj0):
         # the bracket covers only about +-0.6 sigma of the shot frequency,
         # so many shot counts have no root inside it
-        args = (self.PT_S, 1.0, math.pi / 4, ket0, proj0, 2000, 120, 5, (0.98, 1.02))
+        args = self.run_args(1.0, math.pi / 4, ket0, proj0, 2000, 120, 5, (0.98, 1.02))
         run = run_trials(*args)
         estimates, solved, failed = single_shot_inversions(*args)
         assert 0 < run.failed_trials < 120
@@ -162,23 +169,22 @@ class TestSharedScan:
             calls.append(args[1])
             return evolve(*args)
 
-        monkeypatch.setattr(estimate, "evolve", counting_evolve)
         t, n, trials = 10 * math.pi / 8, 2000, 1000
-        run = run_trials(self.PT_S, 1.0, t, ket0, proj0, n, trials, MLE_SEED,
-                         BRACKETS["pt-s"][9])
-        p = survival_probability(evolve(self.PT_S, 1.0, t, ket0), proj0)
+        p = probability(self.PT_S, 1.0, t, ket0, proj0)
+        monkeypatch.setattr(estimate, "evolve", counting_evolve)
+        run = run_trials(self.PT_S, t, ket0, proj0, p, n, trials, MLE_SEED, BRACKETS["pt-s"][9])
         distinct = {sample_shots(p, n, trial_rng(MLE_SEED, k)) for k in range(trials)}
         assert run.failed_trials == 0
-        # one p(theta_true), one batched scan, then one batched call per
-        # polish round over every shot count still open
-        assert 3 <= len(calls) <= 2 + 12
-        assert len(calls[1]) == SCAN_POINTS
-        assert len(calls[2]) == len(distinct)
+        # the caller's p is sampled as given: one batched scan, then one
+        # batched call per polish round over every shot count still open
+        assert 2 <= len(calls) <= 1 + 12
+        assert len(calls[0]) == SCAN_POINTS
+        assert len(calls[1]) == len(distinct)
 
     def test_non_monotone_bracket_is_flagged(self, ket0, proj0):
         # at t = pi/2, p(s) falls to 0 at s = 2.121 and climbs back to 0.80 at
         # s = 2.6: every shot frequency near p(1.8) = 0.129 has a root on each side
-        args = (self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 60, 3, (1.5, 2.6))
+        args = self.run_args(1.8, math.pi / 2, ket0, proj0, 2000, 60, 3, (1.5, 2.6))
         run = run_trials(*args)
         assert run.non_monotone_scan
         estimates, _, failed = single_shot_inversions(*args)
@@ -189,7 +195,7 @@ class TestSharedScan:
         assert abs(run.mean - 1.8) < 0.01
 
     def test_monotone_part_is_not_flagged(self, ket0, proj0):
-        run = run_trials(self.PT_S, 1.8, math.pi / 2, ket0, proj0, 2000, 10, 3, (1.5, 2.0))
+        run = run_trials(*self.run_args(1.8, math.pi / 2, ket0, proj0, 2000, 10, 3, (1.5, 2.0)))
         assert not run.non_monotone_scan
 
     @pytest.mark.parametrize("theta, t, bracket", [
@@ -198,7 +204,7 @@ class TestSharedScan:
         (1.8, math.pi / 2, (1.5, 2.6)),
     ], ids=["monotone", "failing", "non-monotone"])
     def test_batched_inversion_matches_single_shots(self, ket0, proj0, theta, t, bracket):
-        p = survival_probability(evolve(self.PT_S, theta, t, ket0), proj0)
+        p = probability(self.PT_S, theta, t, ket0, proj0)
         frequencies = [sample_shots(p, 2000, trial_rng(3, k)) / 2000 for k in range(40)]
         batched = mle_invert(self.PT_S, t, ket0, proj0, frequencies, bracket).estimates
         single = [mle_invert(self.PT_S, t, ket0, proj0, [q], bracket).estimates[0]
@@ -208,7 +214,7 @@ class TestSharedScan:
 
     def test_unconverged_polish_raises(self, ket0, proj0, monkeypatch):
         monkeypatch.setattr(estimate, "MAX_ROOT_ITER", 1)
-        p = survival_probability(evolve(self.PT_S, 1.0, math.pi / 4, ket0), proj0)
+        p = probability(self.PT_S, 1.0, math.pi / 4, ket0, proj0)
         x = round(2000 * p)
         with pytest.raises(Unconverged):
             mle_invert(self.PT_S, math.pi / 4, ket0, proj0, [x / 2000], (0.62, 1.38))

@@ -1,9 +1,10 @@
-"""Byte-identity guard for `nhmetro estimate`.
+"""Byte-identity guard for the shipped outputs of `nhmetro`.
 
 Every estimate is a root polished to 1e-12 from a frozen PRNG stream, so a
 change in evaluation order anywhere on the p(theta) path (kernel, evolve,
-scan, polish) moves the CSV bytes. A speed-up that is meant to keep results
-must keep these digests; a change that means to move them updates the
+scan, polish) moves the CSV bytes; the `qfi`, `optimal` and `dilate` columns
+move with any change on their paths too. A speed-up that is meant to keep
+results must keep these digests; a change that means to move them updates the
 digests and says so.
 """
 
@@ -24,15 +25,35 @@ DIGESTS = {
                        "26d638d981c94ebe99914474ec27b3895e82cf47a8dc8f47ceeb0976d02be028"),
 }
 
+# sha256 of the CSV of each shipped qfi, optimal and dilate config; the
+# command is the config name up to its first underscore.
+OUTPUT_DIGESTS = {
+    "qfi_pt_s": "bec45601c662b93b44d548e650cd262d3c180f4ac7047be93476a601ebff5bb1",
+    "qfi_pt_alpha": "459521314c37cfbd0b44829d053f1f6f6274405155449403e099456173be23bc",
+    "qfi_kappa": "2398390bf899f185b852b7a1bd1f416cafa2a151da635c3a03ded7f278279ccc",
+    "optimal_probe_sweep": "7a73f16e3d9b9abd49eae26634542cd52ba70166531e9914427752824ef2354c",
+    "dilate_pt": "f8319f19e11f55818698a14ad258c819b13be84a209bbac5a1471bf31012f99e",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_estimate_outputs_are_byte_identical(tmp_path, name):
+def run_shipped(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     config = os.path.join(CONFIG_DIR, f"{name}.json")
-    assert main(["estimate", "--config", config, "--out", str(out), "--quiet"]) == 0
+    assert main([name.split("_")[0], "--config", config, "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_estimate_outputs_are_byte_identical(tmp_path, name):
+    out = run_shipped(tmp_path, name)
     trials = tmp_path / f"{name}.csv.trials.csv"
     assert (sha256(out), sha256(trials)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_are_byte_identical(tmp_path, name):
+    assert sha256(run_shipped(tmp_path, name)) == OUTPUT_DIGESTS[name]

@@ -6,9 +6,9 @@ import pytest
 from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.errors import OutOfRange, UnsupportedFamily
 from nhmetro.fisher import generator_quadrature
-from nhmetro.models import closed_form_U, d_hamiltonian, hamiltonian
+from nhmetro.models import d_hamiltonian, hamiltonian
 
-from reference import h_eigen_oracle
+from reference import closed_form_U, h_eigen_oracle
 
 R2 = math.sqrt(2)
 

@@ -111,15 +111,16 @@ def _identifiers(node):
     return found
 
 
-def test_every_public_name_is_used():
-    # A public module-level name that nothing reads outside its own
-    # definition is dead code; dunder names are exempt.
+def _unread_public_names(directories):
+    """(location, name) of each public module-level name of the package that
+    nothing under `directories` reads outside its own definition; dunder
+    names are exempt."""
     uses = Counter()
-    for directory in REFERENCE_DIRS:
+    for directory in directories:
         for path in sorted((REPO_ROOT / directory).rglob("*.py")):
             for statement in ast.parse(path.read_text(), filename=str(path)).body:
                 uses.update(_identifiers(statement))
-    dead = []
+    unread = []
     for path in MODULES:
         for statement in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -132,6 +133,25 @@ def test_every_public_name_is_used():
             else:
                 continue
             own = _identifiers(statement)
-            dead += [f"{path.name}:{statement.lineno} {name}" for name in names
-                     if not name.startswith("_") and uses[name] - (name in own) == 0]
-    assert dead == []
+            unread += [(f"{path.name}:{statement.lineno}", name) for name in sorted(names)
+                       if not name.startswith("_") and uses[name] - (name in own) == 0]
+    return unread
+
+
+def test_every_public_name_is_used():
+    # A public module-level name that nothing reads is dead code.
+    assert _unread_public_names(REFERENCE_DIRS) == []
+
+
+# Names the library offers although only the tests call them, with the reason.
+LIBRARY_API = {
+    "SIGMA_X": "Pauli matrix; the README lists the Pauli matrices in linalg",
+    "SIGMA_Z": "Pauli matrix; the README lists the Pauli matrices in linalg",
+    "sld_operator": "the exact symmetric logarithmic derivative the README documents",
+}
+
+
+def test_no_public_name_is_read_only_by_tests():
+    # Code that only the tests read belongs in tests/reference.py.
+    unread = _unread_public_names(("src", "perfbench"))
+    assert [(where, name) for where, name in unread if name not in LIBRARY_API] == []
