@@ -25,6 +25,8 @@ from .models import PARAMS, HamiltonianModel, hamiltonian
 
 # The largest shot count the binomial sampler takes (a C int64).
 MAX_SHOTS = 2**63 - 1
+# The largest probe angle in radians: 2 phi, stop - start and degrees stay finite.
+MAX_ANGLE = sys.float_info.max / 64
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,19 @@ def _complex(value, path) -> complex:
 
 
 def _angle(value, path) -> float:
-    """Radians, or a string 'Ndeg' in degrees."""
-    if not isinstance(value, str):
-        return _number(value, path)
-    text = value.strip().lower()
-    if not text.endswith("deg"):
-        raise ConfigError(path, f"string angles need a 'deg' suffix, got {value!r}")
-    try:
-        return math.radians(_number(float(text[:-3]), path))
-    except ValueError:
-        raise ConfigError(path, f"cannot parse angle {value!r}")
+    """Radians, or a string 'Ndeg' in degrees; at most MAX_ANGLE radians."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        if not text.endswith("deg"):
+            raise ConfigError(path, f"string angles need a 'deg' suffix, got {value!r}")
+        try:
+            value = math.radians(_number(float(text[:-3]), path))
+        except ValueError:
+            raise ConfigError(path, f"cannot parse angle {value!r}")
+    angle = _number(value, path)
+    if abs(angle) > MAX_ANGLE:
+        raise ConfigError(path, f"must lie within +-{MAX_ANGLE:.6g} rad, got {angle!r}")
+    return angle
 
 
 def _count(doc, key, path, minimum, maximum=None) -> int:

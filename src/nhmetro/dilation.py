@@ -114,7 +114,4 @@ def evolve_dilated(sys: DilationSystem, psi0, t):
     block0 = Psi_t[..., :2]
     weight0 = np.sum(np.abs(block0) ** 2, axis=-1)
     success_prob = weight0 / np.sum(np.abs(Psi_t) ** 2, axis=-1)
-    if Psi_t.ndim == 1:
-        return Psi_t, fix_phase(block0 / np.sqrt(weight0)), float(success_prob)
-    recovered = np.array([fix_phase(b / np.sqrt(w)) for b, w in zip(block0, weight0)])
-    return Psi_t, recovered, success_prob
+    return Psi_t, fix_phase(block0 / np.sqrt(weight0)[..., None]), success_prob

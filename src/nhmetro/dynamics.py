@@ -1,7 +1,9 @@
 """Non-unitary evolution, output-state normalization, and outcome statistics.
 
 An outcome probability is `outcome_probability(evolve(...).phi_out, A)` for a
-projector A that passed `check_projector` once.
+projector A that passed `check_projector` once. `fix_phase`, `expectation`
+and `outcome_probability` take one state (n,) or a stack (..., n); np.hypot
+and np.vecdot round as abs() and np.vdot of one state, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ PHASE_EPS = 1e-12
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the first nonzero amplitude real-positive (deterministic gauge)."""
-    v = linalg.as_vector(v)
-    for a in v:
-        if abs(a) > PHASE_EPS:
-            return v * (a.conjugate() / abs(a))
-    return v
+    """Make the first amplitude above PHASE_EPS in magnitude real-positive
+    (deterministic gauge) in each vector; a vector without one is unchanged."""
+    v = np.asarray(v, dtype=complex)
+    first = (np.hypot(v.real, v.imag) > PHASE_EPS).argmax(axis=-1, keepdims=True)
+    a = np.take_along_axis(v, first, -1)
+    m = np.hypot(a.real, a.imag)
+    # the floor only keeps a vector without such an amplitude from dividing by 0
+    return np.where(m > PHASE_EPS, v * (a.conj() / np.maximum(m, PHASE_EPS)), v)
 
 
 def check_normalized(v) -> np.ndarray:
@@ -55,7 +59,8 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
 
     A stacked result equals the per-point results bit for bit: each
     generator -i t H is built exactly as for one point, the stack goes
-    through one `mat_exp` call, and K and the phase fix stay per vector.
+    through one `mat_exp` call, and K and the phase fix are one array step
+    over every output vector.
     """
     psi0 = check_normalized(psi0)
     if np.ndim(theta) != 0 and np.ndim(t) != 0:
@@ -69,12 +74,8 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
         H = np.array([hamiltonian(model, th) for th in theta])
     generator = (-1j * times)[..., None, None] * H
     raw = linalg.mat_exp(generator) @ psi0
-    if raw.ndim == 1:
-        K = float(np.vdot(raw, raw).real)
-        return EvolutionResult(phi_out=fix_phase(raw / np.sqrt(K)), K=K)
-    K = np.array([np.vdot(r, r).real for r in raw])
-    phi = np.array([fix_phase(r / np.sqrt(k)) for r, k in zip(raw, K)])
-    return EvolutionResult(phi_out=phi, K=K)
+    K = np.vecdot(raw, raw).real
+    return EvolutionResult(phi_out=fix_phase(raw / np.sqrt(K)[..., None]), K=K)
 
 
 def check_projector(A) -> np.ndarray:
@@ -89,20 +90,21 @@ def check_projector(A) -> np.ndarray:
     return A
 
 
-def expectation(phi: np.ndarray, A: np.ndarray) -> float:
-    """<phi|A|phi> for Hermitian A; the imaginary residue is discarded."""
-    return float(np.vdot(phi, A @ phi).real)
+def expectation(phi: np.ndarray, A: np.ndarray) -> float | np.ndarray:
+    """<phi|A|phi> of each state for Hermitian A; the imaginary residue is discarded."""
+    return np.vecdot(phi, (A @ phi[..., None])[..., 0]).real
 
 
-def outcome_probability(phi: np.ndarray, A: np.ndarray) -> float:
-    """<phi|A|phi> for a projector A that already passed `check_projector`
-    (callers that evaluate many states validate A once).
+def outcome_probability(phi: np.ndarray, A: np.ndarray) -> float | np.ndarray:
+    """<phi|A|phi> of each state for a projector A that already passed
+    `check_projector` (callers that evaluate many states validate A once).
 
     Rounding can put p just outside [0, 1]; within NORMALIZATION_TOL it is
     clamped. Further out phi is not a normalized state, which raises
     NotNormalized instead of being clamped away.
     """
     p = expectation(phi, A)
-    if not -NORMALIZATION_TOL <= p <= 1.0 + NORMALIZATION_TOL:
-        raise NotNormalized(f"outcome probability {p!r} lies outside [0, 1]")
-    return float(min(max(p, 0.0), 1.0))
+    outside = np.ravel(p)[~np.ravel((-NORMALIZATION_TOL <= p) & (p <= 1 + NORMALIZATION_TOL))]
+    if outside.size:
+        raise NotNormalized(f"outcome probability {float(outside[0])!r} lies outside [0, 1]")
+    return np.clip(p, 0.0, 1.0)

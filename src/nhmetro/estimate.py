@@ -74,12 +74,6 @@ def _bounds(bracket) -> tuple[float, float]:
     return lo, hi
 
 
-def _probabilities(model, thetas, t, psi0, A) -> np.ndarray:
-    """p at each theta from one batched `evolve`; A must be validated."""
-    return np.array([outcome_probability(phi, A)
-                     for phi in evolve(model, thetas, t, psi0).phi_out])
-
-
 def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket) -> Inversion:
     """Solve p(theta) = x/n inside the bracket for every frequency x/n at once.
 
@@ -102,7 +96,7 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket)
     A = check_projector(A)
     targets, inverse = np.unique(frequencies, return_inverse=True)
     grid = np.linspace(lo, hi, SCAN_POINTS)
-    p = _probabilities(model, grid, t, psi0, A)
+    p = outcome_probability(evolve(model, grid, t, psi0).phi_out, A)
     steps = np.diff(p)
     monotone = bool((steps > 0).all() or (steps < 0).all())
 
@@ -128,7 +122,7 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket)
             # fa and fb lie on opposite sides of 0, so fb != fa
             xs = b - fb * (b - a) / (fb - fa)
             x = np.where((a < xs) & (xs < b), xs, x)
-        fx = _probabilities(model, x, t, psi0, A) - targets[todo]
+        fx = outcome_probability(evolve(model, x, t, psi0).phi_out, A) - targets[todo]
         done = (np.abs(fx) < ROOT_FTOL) | ((b - a) < ROOT_XTOL)
         roots[todo[done]] = x[done]
         left = (fa < 0) != (fx < 0)

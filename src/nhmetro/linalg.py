@@ -48,12 +48,12 @@ def check_finite(a, context="matrix"):
     return a
 
 
-def _squarings(a: np.ndarray) -> int:
-    """Halvings that bring the Frobenius norm of `a` to <= SCALING_TARGET_NORM."""
-    norm = float(np.linalg.norm(a))
-    if norm > SCALING_TARGET_NORM:
-        return int(np.ceil(np.log2(norm / SCALING_TARGET_NORM)))
-    return 0
+def _squarings(a: np.ndarray) -> np.ndarray:
+    """Halvings that bring the Frobenius norm of each matrix of `a` (..., d, d)
+    to <= SCALING_TARGET_NORM, the norm summed as np.linalg.norm sums one."""
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.ceil(np.log2(np.maximum(norm, SCALING_TARGET_NORM) / SCALING_TARGET_NORM)).astype(int)
 
 
 def _taylor(b: np.ndarray) -> np.ndarray:
@@ -81,11 +81,11 @@ def mat_exp(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim == 3:
         return _mat_exp_stack(a)
-    # A stack of one gets these bits in 115-130 us, not 70-80 us (2x2, 2-CPU
-    # Xeon VM); qfi_sweep times this single-matrix path and mle_sweep the stack.
+    # Kept for speed: one 2x2 takes 76-120 us here and 128-164 us as a stack of
+    # one (2-CPU Xeon VM); qfi_sweep makes two such calls a row, mle_sweep stacks.
     a = as_matrix(a)
     check_finite(a, "mat_exp input")
-    squarings = _squarings(a)
+    squarings = int(_squarings(a))
     out = _taylor(a / (2.0 ** squarings))
     for stage in range(squarings):
         out = out @ out
@@ -98,7 +98,7 @@ def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
     if a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     check_finite(a, "mat_exp input")
-    squarings = np.array([_squarings(m) for m in a], dtype=int)
+    squarings = _squarings(a)
     out = _taylor(a / (2.0 ** squarings)[:, None, None])
     for stage in range(squarings.max(initial=0)):
         todo = np.flatnonzero(squarings > stage)

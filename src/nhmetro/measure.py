@@ -60,12 +60,12 @@ def error_propagation_precision(model: HamiltonianModel, theta: float, t: float,
     """Single-shot precision 1/(Delta theta) from the error-propagation formula,
     with d<A>/dtheta as a central difference."""
     eps = 1e-5 * max(1.0, abs(theta))
-    plus, minus, phi = evolve(model, np.array([theta + eps, theta - eps, theta]),
-                              t, psi0).phi_out
-    slope = (expectation(plus, A.A) - expectation(minus, A.A)) / (2 * eps)
+    states = evolve(model, np.array([theta + eps, theta - eps, theta]), t, psi0).phi_out
+    plus, minus, mean = expectation(states, A.A)
+    slope = (plus - minus) / (2 * eps)
     if abs(slope) <= DEGENERATE_TOL:
         raise Degenerate(f"d<A>/dtheta = {slope:.3e} at theta = {theta}")
-    var = expectation(phi, A.A @ A.A) - expectation(phi, A.A) ** 2
+    var = expectation(states[2], A.A @ A.A) - mean ** 2
     if var <= DEGENERATE_TOL ** 2:
         raise Degenerate("observable has vanishing variance on the output state")
     return abs(slope) / np.sqrt(var)

@@ -1,11 +1,13 @@
-"""Closed-form references that only the tests use."""
+"""Closed-form and per-vector references that only the tests use."""
 
 import math
 
 import numpy as np
 
+from nhmetro.dynamics import PHASE_EPS
 from nhmetro.errors import UnsupportedFamily
-from nhmetro.models import HamiltonianModel
+from nhmetro.linalg import SCALING_TARGET_NORM, mat_exp
+from nhmetro.models import HamiltonianModel, hamiltonian
 
 
 def h_eigen_oracle(model: HamiltonianModel, theta: float, t: float):
@@ -67,3 +69,31 @@ def closed_form_U(model: HamiltonianModel, theta: float, t: float) -> np.ndarray
             ]
         )
     raise UnsupportedFamily(f"no closed-form evolution for family {model.family!r}")
+
+
+def fix_phase_loop(v):
+    """The per-vector phase fix, with abs() of one complex scalar, that
+    `dynamics.fix_phase` must match bit for bit on each vector."""
+    for a in v:
+        if abs(a) > PHASE_EPS:
+            return v * (a.conjugate() / abs(a))
+    return v
+
+
+def evolve_vdot(model: HamiltonianModel, theta: float, t: float, psi0):
+    """(phi_out, K) of one evolution with K = <raw|raw> taken by np.vdot."""
+    generator = (-1j * np.asarray(t, dtype=float))[..., None, None] * hamiltonian(model, theta)
+    raw = mat_exp(generator) @ psi0
+    K = float(np.vdot(raw, raw).real)
+    return fix_phase_loop(raw / np.sqrt(K)), K
+
+
+def expectation_vdot(phi, A) -> float:
+    """<phi|A|phi> of one state by np.vdot."""
+    return float(np.vdot(phi, A @ phi).real)
+
+
+def squarings_norm(a) -> int:
+    """Scaling-and-squaring count of one matrix from np.linalg.norm."""
+    norm = float(np.linalg.norm(a))
+    return int(np.ceil(np.log2(norm / SCALING_TARGET_NORM))) if norm > SCALING_TARGET_NORM else 0

@@ -526,6 +526,20 @@ class TestMalformedInput:
         doc["estimation"]["n"] = 2**63 - 1
         assert parse_config(doc).estimation.n == 2**63 - 1
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"probe": {"angle": 1e308}}, "probe.angle"),
+        ({"probe_sweep": {"start": -1e308, "stop": 1e308, "steps": 3}}, "probe_sweep.start"),
+        ({"probe_sweep": {"start": 0.0, "stop": 1e308, "steps": 3}}, "probe_sweep.stop"),
+    ])
+    def test_overflowing_probe_angle(self, tmp_path, capsys, overrides, field):
+        # 2 phi or the sweep span stop - start would overflow to inf
+        cfg = write_config(tmp_path, base_config(**overrides))
+        out = tmp_path / "opt.csv"
+        assert main(["optimal", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_estimate_needs_a_projector(self, tmp_path, capsys):
         doc = base_config(time_grid={"start": 1.0, "stop": 2.0, "steps": 2},
                           measurement={"matrix": [[1, 0], [0, 0.5]]}, estimation=ESTIMATION)

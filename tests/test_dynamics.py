@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhmetro import custom_model, ep_demo_model, kappa_model, linalg, pt_model
-from nhmetro.dynamics import check_projector, evolve, fix_phase, outcome_probability
+from nhmetro.dynamics import (PHASE_EPS, check_projector, evolve, expectation, fix_phase,
+                              outcome_probability)
 from nhmetro.errors import NotNormalized, NotProjector, OutOfRange
 
+import reference
 from conftest import P0_PROBE, P0_TIME, T18, probe_state
 
 
@@ -133,3 +136,82 @@ def test_evolve_takes_one_array_argument(ket0):
 def test_every_time_of_an_array_is_checked(ket0):
     with pytest.raises(OutOfRange):
         evolve(pt_model(1.0, 0.7, "s"), 1.0, np.array([0.0, 1.0, -1e-3]), ket0)
+
+
+def test_evolve_matches_the_per_vector_reference():
+    # K from np.vdot and the phase fix of one vector at a time, point by point
+    model, probe = pt_model(1.0, 0.7, "s"), probe_state(30.0)
+    thetas, times = np.linspace(0.0, 3.0, 13), np.linspace(0.0, 40.0, 13)
+    for stacked, points in ((evolve(model, thetas, 2.5, probe), [(th, 2.5) for th in thetas]),
+                            (evolve(model, 1.1, times, probe), [(1.1, t) for t in times])):
+        for i, (theta, t) in enumerate(points):
+            phi, K = reference.evolve_vdot(model, theta, t, probe)
+            single = evolve(model, theta, t, probe)
+            assert stacked.phi_out[i].tobytes() == single.phi_out.tobytes() == phi.tobytes()
+            assert stacked.K[i] == single.K == K
+
+
+# Amplitudes of magnitude 1e-150 to 1e150, signed zeros, and magnitudes at
+# the phase-fix threshold PHASE_EPS or one ulp either side of it.
+COMPONENTS = (st.sampled_from([0.0, -0.0])
+              | st.builds(lambda e, sign: sign * 10.0 ** e,
+                          st.floats(-150.0, 150.0), st.sampled_from([1.0, -1.0])))
+THRESHOLD = [complex(np.nextafter(PHASE_EPS, 0.0), 0.0), complex(PHASE_EPS, -0.0),
+             complex(-0.0, -PHASE_EPS), complex(0.0, np.nextafter(PHASE_EPS, 1.0))]
+AMPLITUDES = (st.sampled_from(THRESHOLD) | st.builds(complex, COMPONENTS, COMPONENTS)
+              | st.floats(0.0, 2 * math.pi).map(lambda a: PHASE_EPS * complex(math.cos(a),
+                                                                              math.sin(a))))
+
+
+@st.composite
+def states(draw):
+    """One vector (2,) or a stack (N, 2)."""
+    rows = draw(st.lists(st.lists(AMPLITUDES, min_size=2, max_size=2), min_size=1, max_size=6))
+    v = np.array(rows, dtype=complex)
+    return v[0] if draw(st.booleans()) else v
+
+
+def per_vector(function, v):
+    """`function` of each vector of v, one vector at a time."""
+    return np.array([function(row) for row in v.reshape(-1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=states())
+def test_fix_phase_matches_the_per_vector_loop(v):
+    expected = per_vector(reference.fix_phase_loop, v)
+    assert fix_phase(v).tobytes() == expected.reshape(v.shape).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=states(), polar=st.floats(0.0, math.pi), azimuth=st.floats(0.0, 2 * math.pi))
+def test_expectation_matches_vdot(phi, polar, azimuth):
+    # a general rank-1 projector
+    A = linalg.projector([math.cos(polar / 2), math.sin(polar / 2) * complex(math.cos(azimuth),
+                                                                             math.sin(azimuth))])
+    expected = per_vector(lambda row: reference.expectation_vdot(row, A), phi)
+    assert np.asarray(expectation(phi, A)).tobytes() == expected.reshape(phi.shape[:-1]).tobytes()
+
+
+def test_fix_phase_keeps_a_vector_without_a_large_amplitude():
+    stack = np.array([[0.0, 0.0], [PHASE_EPS, complex(-0.0, -0.5 * PHASE_EPS)], [0.6, 0.8j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fixed, zero = fix_phase(stack), fix_phase(np.zeros(2, dtype=complex))
+    assert fixed[:2].tobytes() == stack[:2].tobytes()
+    assert fixed[2].tobytes() == reference.fix_phase_loop(stack[2]).tobytes()
+    assert zero.tobytes() == np.zeros(2, dtype=complex).tobytes()
+
+
+def test_outcome_probability_clamps_each_state_of_a_stack():
+    u = np.array([0.28, 0.96])
+    A = linalg.projector(u)
+    stack = np.array([u * (1.0 + 2e-16), [0.96, -0.28], [0.6, 0.8]], dtype=complex)
+    raw = [reference.expectation_vdot(phi, A) for phi in stack]
+    # rounding residues just above 1 and just below 0
+    assert raw[0] > 1.0 and raw[1] < 0.0
+    assert outcome_probability(stack, A).tolist() == [1.0, 0.0, raw[2]]
+    # the error names the first value outside
+    stack[1:] = [1.1 * u, 2.0 * u]
+    with pytest.raises(NotNormalized, match="outcome probability 1.21"):
+        outcome_probability(stack, A)

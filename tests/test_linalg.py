@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from nhmetro import linalg
 from nhmetro.errors import NonFinite
 
+from reference import squarings_norm
+
 
 class TestMatExp:
     def test_zero_matrix(self):
@@ -53,6 +55,28 @@ class TestMatExp:
         for got, m in zip(stacked, a):
             assert np.array_equal(got, linalg.mat_exp(m))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_matches_single_calls_at_squaring_boundaries(self, dim):
+        # Random matrices whose Frobenius norm, as np.linalg.norm sums it, is
+        # 0.5 * 2^k or one ulp either side: a norm summed in another order
+        # can land one ulp off there and change the squaring count.
+        rng = np.random.default_rng(dim)
+        stack = []
+        for k in range(-1, 6):
+            target = linalg.SCALING_TARGET_NORM * 2.0 ** k
+            for norm in (np.nextafter(target, 0.0), target, np.nextafter(target, np.inf)):
+                for _ in range(20):
+                    m = scaled_to_norm(rng.normal(size=(dim, dim))
+                                       + 1j * rng.normal(size=(dim, dim)), norm)
+                    if m is not None:
+                        stack.append(m)
+        stack = np.array(stack)
+        counts = [squarings_norm(m) for m in stack]
+        assert len(stack) > 300 and sorted(set(counts)) == list(range(6))
+        assert linalg._squarings(stack).tolist() == counts
+        for got, m in zip(linalg.mat_exp(stack), stack):
+            assert got.tobytes() == linalg.mat_exp(m).tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     def test_stack_overflow_raises(self):
@@ -68,3 +92,14 @@ class TestMatExp:
             herm = (a + linalg.dagger(a)) / 2
             u = linalg.mat_exp(-1j * herm)
             assert np.linalg.norm(u @ linalg.dagger(u) - np.eye(2)) < 1e-10
+
+
+def scaled_to_norm(m, norm):
+    """m scaled so that np.linalg.norm reads exactly `norm`, or None."""
+    scale = norm / np.linalg.norm(m)
+    for _ in range(10):
+        got = np.linalg.norm(scale * m)
+        if got == norm:
+            return scale * m
+        scale = np.nextafter(scale, 0.0 if got > norm else np.inf)
+    return None
