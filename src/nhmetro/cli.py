@@ -24,8 +24,8 @@ import numpy as np
 from . import dilation, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
 from .dynamics import check_projector, evolve, outcome_probability
-from .errors import (AllTrialsFailed, ConfigError, Degenerate, NotHermitian, NotProjector,
-                     NumericsError, UnsupportedFamily, UnsupportedProbe, ZeroG)
+from .errors import (AllTrialsFailed, ConfigError, NotHermitian, NotProjector, NumericsError,
+                     UnsupportedFamily, UnsupportedProbe)
 from .estimate import run_trials
 from .fisher import qfi_centered, qfi_closed_form, qfi_record, qfi_state_derivative
 from .models import hamiltonian
@@ -65,44 +65,66 @@ def _route_deviation(values) -> float:
     return (max(values) - min(values)) / scale
 
 
-def _sweep_points(cfg: ExperimentConfig):
-    """The sweep column name and its (sweep value, probe, t) points: probe
-    angles in degrees at the grid's start time, or the time grid itself."""
+def _sweep(cfg: ExperimentConfig):
+    """The sweep column name, its values, and the probes and times of its
+    points: probe angles in degrees, a (P, 2) stack of probes and the grid's
+    start time; or the time grid, the configured probe and the (N,) times."""
     if cfg.probe_sweep is not None:
-        return "phi_deg", [(math.degrees(phi), probe_from_angle(phi), cfg.time_grid.start)
-                           for phi in cfg.probe_sweep.linspace()]
-    return "t", [(float(t), cfg.probe, float(t)) for t in cfg.time_grid.linspace()]
+        angles = cfg.probe_sweep.linspace()
+        return ("phi_deg", [math.degrees(phi) for phi in angles],
+                np.array([probe_from_angle(phi) for phi in angles]), cfg.time_grid.start)
+    times = cfg.time_grid.linspace()
+    return "t", times.tolist(), cfg.probe, times
+
+
+def _sweep_points(cfg: ExperimentConfig):
+    """The sweep column name and its (sweep value, probe, t) points."""
+    sweep_name, values, probes, times = _sweep(cfg)
+    if np.ndim(times) == 0:
+        return sweep_name, [(value, probe, times) for value, probe in zip(values, probes)]
+    return sweep_name, [(value, probes, value) for value in values]
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
+    """One QFI record and one state-derivative cross-check over the whole
+    time grid. A failed row, or every row when a stacked call raises, is a
+    nan row with its error logged; the closed form stays per row."""
     if cfg.probe_sweep is not None:
         raise ConfigError("probe_sweep", "qfi sweeps time only")
     theta = cfg.model.true_value
-    partial = False
+    times = cfg.time_grid.linspace()
+    try:
+        rec = qfi_record(cfg.model, theta, times, cfg.probe)
+        failures = rec.failures
+    except NumericsError as exc:
+        failures = (exc,) * len(times)
+    ok = np.array([failure is None for failure in failures])
+    # Cross-check of the rows that did not fail: a failure blanks their
+    # route_deviation, not the rows.
+    cross_failure = None
+    try:
+        f_state = iter(qfi_state_derivative(cfg.model, theta, times[ok], cfg.probe))
+    except NumericsError as exc:
+        cross_failure = exc
     with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
                               "F_closed_form", "route_deviation"]) as row:
-        for t in cfg.time_grid.linspace():
-            try:
-                rec = qfi_record(cfg.model, theta, float(t), cfg.probe)
-            except NumericsError as exc:
-                log(f"t={t}: {exc}")
+        for i, t in enumerate(times):
+            if failures[i] is not None:
+                log(f"t={t}: {failures[i]}")
                 row([t, None, None, None, None, None, None, None, None])
-                partial = True
                 continue
             try:
                 f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
             except (UnsupportedFamily, UnsupportedProbe):
                 f_closed = None
-            # Cross-checks: a failure blanks route_deviation, not the row.
             deviation = None
-            try:
-                f_state = qfi_state_derivative(cfg.model, theta, float(t), cfg.probe)
-                deviation = _route_deviation([rec.F, f_state, f_closed])
-            except NumericsError as exc:
-                log(f"t={t}: cross-check {exc}")
-            row([t, rec.F, math.sqrt(rec.F), rec.K, rec.I, math.sqrt(rec.I), rec.gap,
-                 f_closed, deviation])
-    return EXIT_PARTIAL if partial else EXIT_OK
+            if cross_failure is None:
+                deviation = _route_deviation([rec.F[i], next(f_state), f_closed])
+            else:
+                log(f"t={t}: cross-check {cross_failure}")
+            row([t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
+                 rec.gap[i], f_closed, deviation])
+    return EXIT_OK if ok.all() else EXIT_PARTIAL
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
@@ -143,40 +165,40 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
-    sweep_name, points = _sweep_points(cfg)
+    """One evolution, one generator and one residual fit over all points,
+    and two more evolutions for precision_ep. A row whose F fails, or every
+    row when a stacked call raises, is a nan row with its error logged."""
+    sweep_name, values, probes, t = _sweep(cfg)
     theta = cfg.model.true_value
     try:
         observable = measure.Observable(cfg.measurement, "configured")
     except NotHermitian as exc:
         raise ConfigError("measurement.matrix", f"optimal needs a Hermitian observable: {exc}")
+    try:
+        phi = evolve(cfg.model, theta, t, probes).phi_out
+        f = measure.centered_generator_state(cfg.model, theta, t, phi)
+        F, failures = qfi_centered(f)
+        report = measure.optimality_residual(phi, f, observable)
+        # nan where degenerate: flagged, not dropped, as the paper's own
+        # tables have blank entries at probability extrema
+        precision = measure.error_propagation_precision(cfg.model, theta, t, probes, phi,
+                                                        observable)
+    except NumericsError as exc:
+        failures = (exc,) * len(values)
     partial = False
     with _csv_rows(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
                               "precision_ep", "sqrtF"]) as row:
-        for sweep_value, probe, t in points:
-            try:
-                phi = evolve(cfg.model, theta, t, probe).phi_out
-                f = measure.centered_generator_state(cfg.model, theta, t, phi)
-                sqrt_f = math.sqrt(qfi_centered(f))
-                try:
-                    report = measure.optimality_residual(phi, f, observable)
-                    residual, c_real, c_imag = (report.residual, report.c.real,
-                                                report.c_imag_fraction)
-                except ZeroG as exc:
-                    log(f"{sweep_name}={sweep_value}: {exc}")
-                    residual = c_real = c_imag = None
-                    partial = True
-                try:
-                    precision = measure.error_propagation_precision(
-                        cfg.model, theta, t, probe, observable)
-                except Degenerate:
-                    # Flagged, not dropped: the paper's own tables have blank
-                    # entries at probability extrema.
-                    precision = None
-                row([sweep_value, residual, c_real, c_imag, precision, sqrt_f])
-            except NumericsError as exc:
-                log(f"{sweep_name}={sweep_value}: {exc}")
+        for i, sweep_value in enumerate(values):
+            if failures[i] is not None:
+                log(f"{sweep_name}={sweep_value}: {failures[i]}")
                 row([sweep_value, None, None, None, None, None])
                 partial = True
+                continue
+            if report.failures[i] is not None:
+                log(f"{sweep_name}={sweep_value}: {report.failures[i]}")
+                partial = True
+            row([sweep_value, report.residual[i], report.c[i].real, report.c_imag_fraction[i],
+                 precision[i], math.sqrt(F[i])])
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

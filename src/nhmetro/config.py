@@ -27,6 +27,9 @@ from .models import PARAMS, HamiltonianModel, hamiltonian
 MAX_SHOTS = 2**63 - 1
 # The largest probe angle in radians: 2 phi, stop - start and degrees stay finite.
 MAX_ANGLE = sys.float_info.max / 64
+# The most points a time grid or probe sweep may have: `qfi`, `optimal` and
+# `dilate` hold arrays over the whole grid at once.
+MAX_STEPS = 10**5
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def _grid(doc, path, read) -> Grid:
     """A time or probe-angle grid; `read` converts its start and stop."""
     start = read(_field(doc, "start", path), f"{path}.start")
     stop = read(_field(doc, "stop", path), f"{path}.stop")
-    return Grid(start, stop, _count(doc, "steps", path, 1))
+    return Grid(start, stop, _count(doc, "steps", path, 1, MAX_STEPS))
 
 
 def _parse_model(doc) -> HamiltonianModel:

@@ -1,9 +1,11 @@
 """Non-unitary evolution, output-state normalization, and outcome statistics.
 
 An outcome probability is `outcome_probability(evolve(...).phi_out, A)` for a
-projector A that passed `check_projector` once. `fix_phase`, `expectation`
-and `outcome_probability` take one state (n,) or a stack (..., n); np.hypot
-and np.vecdot round as abs() and np.vdot of one state, bit for bit.
+projector A that passed `check_projector` once. `evolve` takes one point, a
+1-D array of theta or of t, or a stack of probes at one (theta, t);
+`check_normalized`, `fix_phase`, `expectation` and `outcome_probability` take
+one state (n,) or a stack (..., n). np.hypot and np.vecdot round as abs() and
+np.vdot of one state, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def check_normalized(v) -> np.ndarray:
-    v = linalg.as_vector(v)
-    if abs(np.vdot(v, v).real - 1.0) >= NORMALIZATION_TOL:
-        raise NotNormalized(f"vector norm^2 deviates from 1 by {abs(np.vdot(v, v).real - 1.0):.3e}")
+    """v, one vector (n,) or a stack (..., n), each of unit norm within
+    NORMALIZATION_TOL; the error names the first one that is not (a nan
+    vector passes, and turns what it feeds nan)."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 0:
+        raise ValueError("expected a vector or a stack of vectors, got a scalar")
+    deviation = np.ravel(abs(np.vecdot(v, v).real - 1.0))
+    off = deviation[deviation >= NORMALIZATION_TOL]
+    if off.size:
+        raise NotNormalized(f"vector norm^2 deviates from 1 by {off[0]:.3e}")
     return v
 
 
@@ -45,8 +54,8 @@ class EvolutionResult:
 
     phi_out is the normalized, phase-fixed U |psi0>; K is the squared norm of
     the raw output U |psi0> (the trace of the unnormalized output density
-    matrix). For an array of theta or of t both fields gain a leading axis
-    over it and K is an array.
+    matrix). For an array of theta, of t or of probes both fields gain a
+    leading axis over it and K is an array.
     """
 
     phi_out: np.ndarray
@@ -55,16 +64,19 @@ class EvolutionResult:
 
 def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     """Evolve psi0 for time t at one theta, at each theta of a 1-D array, or
-    at one theta for each t of a 1-D array (not both arrays at once).
+    at one theta for each t of a 1-D array (not both arrays at once); psi0
+    is one probe (2,), or a stack (P, 2) when theta and t are both scalars.
 
     A stacked result equals the per-point results bit for bit: each
     generator -i t H is built exactly as for one point, the stack goes
-    through one `mat_exp` call, and K and the phase fix are one array step
-    over every output vector.
+    through one `mat_exp` call (a probe stack shares one exponential), and
+    K and the phase fix are one array step over every output vector.
     """
     psi0 = check_normalized(psi0)
     if np.ndim(theta) != 0 and np.ndim(t) != 0:
         raise ValueError("evolve takes an array of theta or an array of t, not both")
+    if psi0.ndim > 1 and (np.ndim(theta) != 0 or np.ndim(t) != 0):
+        raise ValueError("evolve takes a stack of probes at one theta and one t only")
     times = np.asarray(t, dtype=float)
     if (times < 0).any():
         raise OutOfRange(f"evolution time must be nonnegative, got {times.min()}")
@@ -73,7 +85,7 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     else:
         H = np.array([hamiltonian(model, th) for th in theta])
     generator = (-1j * times)[..., None, None] * H
-    raw = linalg.mat_exp(generator) @ psi0
+    raw = (linalg.mat_exp(generator) @ psi0[..., None])[..., 0]
     K = np.vecdot(raw, raw).real
     return EvolutionResult(phi_out=fix_phase(raw / np.sqrt(K)[..., None]), K=K)
 

@@ -42,10 +42,6 @@ class UnsupportedProbe(NumericsError):
     """Closed-form expression only valid for a specific probe state."""
 
 
-class Degenerate(NumericsError):
-    """The measurement carries no first-order information at this point."""
-
-
 class ZeroG(NumericsError):
     """The observable acts trivially on the output state."""
 

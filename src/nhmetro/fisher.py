@@ -7,6 +7,11 @@ the generalized variance of h (production), the derivative of the
 normalized output state with dU/dtheta taken exactly from one 4x4 block
 exponential, and closed forms for the catalog families. The generator's
 eigenvalue gap is a closed form too, exact (0) at a defective h.
+
+The generator, the output derivative and the QFI record take one t or a 1-D
+array of t, and give each t of an array the bits of a single call. A row
+that fails is carried as nan in the stacked result, with its typed error in
+the row's `failures` entry, so one bad t never stops the others.
 """
 
 from __future__ import annotations
@@ -48,25 +53,40 @@ def _sinc(x: complex) -> complex:
     return cmath.sin(x) / x if x != 0 else 1.0
 
 
-def generator_closed_form(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
-    """h as the exact integral of exp(-i mu H) dH exp(i mu H) over mu in [0, t].
+def _coefficients(w: complex, t: float) -> tuple:
+    """(a, i b, d) of generator_closed_form at one t, in scalar cmath
+    arithmetic: NumPy's complex sin and division round differently. All
+    three are nan where one overflows (a huge t or w)."""
+    try:
+        a = 0.5 * t * (1.0 + _sinc(2 * w * t))
+        ib = 1j * (0.5 * t * t * _sinc(w * t) ** 2)
+        d = 2 * t ** 3 * _x_minus_sin_over_x3(2 * w * t)
+    except (OverflowError, ValueError):  # ValueError: cmath.sin of an infinite argument
+        return (cmath.nan,) * 3
+    return a, ib, d
+
+
+def generator_closed_form(model: HamiltonianModel, theta: float, t) -> np.ndarray:
+    """h as the exact integral of exp(-i mu H) dH exp(i mu H) over mu in [0, t],
+    for one t (2, 2) or each t of a 1-D array (N, 2, 2).
 
     With H = cI + B, B traceless and B^2 = w^2 I, the integrand is
     C^2 dH + i C S [dH, B] + S^2 B dH B with C = cos(w mu), S = sin(w mu)/w,
     so h = a dH + i b [dH, B] + d B dH B with a = (t/2)(1 + sinc 2wt),
     b = (t^2/2) sinc^2(wt) and d = 2t^3 (x - sin x)/x^3 at x = 2wt. All three
     are entire in w^2: the EP (w = 0, nilpotent B) and the broken regime
-    (imaginary w) need no special case.
+    (imaginary w) need no special case. H, dH and B are built once; only the
+    coefficients are per t. A t whose coefficients overflow gives a nan h.
     """
     H = hamiltonian(model, theta)
     dH = d_hamiltonian(model, theta)
     B = H - 0.5 * (H[0, 0] + H[1, 1]) * np.eye(2)
     w = cmath.sqrt(B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0])
-    a = 0.5 * t * (1.0 + _sinc(2 * w * t))
-    b = 0.5 * t * t * _sinc(w * t) ** 2
-    d = 2 * t ** 3 * _x_minus_sin_over_x3(2 * w * t)
+    times = np.asarray(t, dtype=float)
+    coeffs = np.array([_coefficients(w, tk) for tk in times.ravel().tolist()], dtype=complex)
+    a, ib, d = coeffs.T.reshape((3,) + times.shape + (1, 1))
     dHB, BdH = dH @ B, B @ dH
-    return a * dH + 1j * b * (dHB - BdH) + d * (B @ dHB)
+    return a * dH + ib * (dHB - BdH) + d * (B @ dHB)
 
 
 def generator_quadrature(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
@@ -103,8 +123,9 @@ def generator_quadrature(model: HamiltonianModel, theta: float, t: float) -> np.
                       f"(theta = {theta}, t = {t})")
 
 
-def output_derivative(model: HamiltonianModel, theta: float, t: float):
-    """(U, dU/dtheta) with U = exp(-i t H), both exact, from one 4x4 exponential.
+def output_derivative(model: HamiltonianModel, theta: float, t):
+    """(U, dU/dtheta) with U = exp(-i t H), both exact, from one 4x4
+    exponential at one t, or one stacked exponential over a 1-D array of t.
 
     exp(-i t [[H, dH], [0, H]]) = [[U, dU], [0, U]] (Van Loan, IEEE Trans.
     Autom. Control 23 (1978) 395): no step, so theta never leaves the
@@ -114,45 +135,50 @@ def output_derivative(model: HamiltonianModel, theta: float, t: float):
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = block[2:, 2:] = H
     block[:2, 2:] = d_hamiltonian(model, theta)
-    E = linalg.mat_exp(-1j * t * block)
-    return E[:2, :2], E[:2, 2:]
+    E = linalg.mat_exp((-1j * np.asarray(t, dtype=float))[..., None, None] * block)
+    return E[..., :2, :2], E[..., :2, 2:]
 
 
-def qfi_generator(h, phi) -> float:
-    """Generalized variance 4(<h^dag h> - <h^dag><h>) over a normalized state,
-    taken as 4||(h - <h>) phi||^2: no difference of nearly equal terms, so F
-    keeps its relative accuracy as t -> 0."""
-    h = linalg.as_matrix(h)
-    phi = check_normalized(phi)
-    hphi = h @ phi
-    return qfi_centered(hphi - np.vdot(phi, hphi) * phi)
+def centered_state(h, phi) -> np.ndarray:
+    """f = (h - <h>) phi for a normalized state phi: one h (2, 2) with one
+    state or a stack (..., 2), or a stack of h (N, 2, 2) with one state each.
+    F = 4<f|f> is the generalized variance 4(<h^dag h> - <h^dag><h>) with no
+    difference of nearly equal terms, so F keeps its relative accuracy as
+    t -> 0."""
+    hphi = (h @ phi[..., None])[..., 0]
+    return hphi - np.vecdot(phi, hphi)[..., None] * phi
 
 
-def qfi_centered(f) -> float:
-    """F = 4<f|f> for the centered generator state f = (h - <h>) phi."""
-    value = 4 * np.vdot(f, f)
-    if not abs(value.imag) < IMAG_RESIDUE_TOL:
-        raise ImaginaryResidue(f"QFI imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def qfi_centered(f) -> tuple:
+    """(F, failures) for one centered generator state f = (h - <h>) phi or a
+    stack (..., 2): F = 4<f|f>, nan where that keeps an imaginary part of
+    IMAG_RESIDUE_TOL or more (or a non-finite one), and `failures` holds the
+    ImaginaryResidue of each such state, None for the others."""
+    value = 4 * np.vecdot(f, f)
+    real = abs(value.imag) < IMAG_RESIDUE_TOL
+    failures = tuple(None if ok else ImaginaryResidue(f"QFI imaginary residue {v.imag:.3e}")
+                     for v, ok in zip(np.ravel(value), np.ravel(real)))
+    return np.where(real, value.real, np.nan)[()], failures
 
 
-def qfi_from_output(v, dv) -> float:
+def qfi_from_output(v, dv):
     """4||dv - (<v|dv>/<v|v>) v||^2/<v|v> for an unnormalized output v(theta)
-    and its derivative dv.
+    and its derivative dv, one (2,) or a stack (..., 2).
 
     This is 4(<dphi|dphi> - |<phi|dphi>|^2) on phi = v/||v||, so it is
     unchanged by v -> c v, dv -> c dv + c' v for any scalar c(theta) != 0:
     neither the norm nor the phase of v enters. Projecting out v first
     cancels nothing, so F keeps its relative accuracy as t -> 0.
     """
-    norm2 = np.vdot(v, v).real
-    perp = dv - (np.vdot(v, dv) / norm2) * v
-    return float(4 * np.vdot(perp, perp).real / norm2)
+    norm2 = np.vecdot(v, v).real
+    perp = dv - (np.vecdot(v, dv) / norm2)[..., None] * v
+    return 4 * np.vecdot(perp, perp).real / norm2
 
 
-def qfi_state_derivative(model: HamiltonianModel, theta: float, t: float, psi0) -> float:
+def qfi_state_derivative(model: HamiltonianModel, theta: float, t, psi0):
     """QFI from the derivative of the normalized output state, with the exact
-    v = U psi0 and dv = (dU/dtheta) psi0 of output_derivative."""
+    v = U psi0 and dv = (dU/dtheta) psi0 of output_derivative, at one t or
+    each t of a 1-D array."""
     psi0 = check_normalized(psi0)
     U, dU = output_derivative(model, theta, t)
     return qfi_from_output(U @ psi0, dU @ psi0)
@@ -195,13 +221,15 @@ def qfi_closed_form(model: HamiltonianModel, theta: float, t: float, psi0=None) 
 
 @dataclass(frozen=True)
 class QFIRecord:
-    """QFI bundle at one (theta, t) point: F, K, I = K F and the generator's
-    eigenvalue gap."""
+    """QFI bundle at one (theta, t) point, or arrays over a 1-D array of t:
+    F, K, I = K F and the generator's eigenvalue gap. A failed t is nan in F,
+    I and gap, and `failures` holds its typed error (None for the others)."""
 
-    F: float
-    K: float
-    I: float
-    gap: float
+    F: float | np.ndarray
+    K: float | np.ndarray
+    I: float | np.ndarray
+    gap: float | np.ndarray
+    failures: tuple
 
 
 def eigen_gap(h) -> float:
@@ -211,8 +239,14 @@ def eigen_gap(h) -> float:
     return 2 * abs(cmath.sqrt(half * half + h[0, 1] * h[1, 0]))
 
 
-def qfi_record(model: HamiltonianModel, theta: float, t: float, psi0) -> QFIRecord:
+def qfi_record(model: HamiltonianModel, theta: float, t, psi0) -> QFIRecord:
+    """F, K, I and gap at one t or each t of a 1-D array, from one `evolve`
+    and one generator stack. eigen_gap stays per t (NumPy's array sqrt and
+    abs would round the gap differently); a failed t gets no gap."""
     res = evolve(model, theta, t, psi0)
     h = generator_closed_form(model, theta, t)
-    F = qfi_generator(h, res.phi_out)
-    return QFIRecord(F=F, K=res.K, I=res.K * F, gap=eigen_gap(h))
+    F, failures = qfi_centered(centered_state(h, check_normalized(res.phi_out)))
+    gap = np.array([np.nan if failure else eigen_gap(hk)
+                    for hk, failure in zip(h.reshape(-1, 2, 2), failures)])
+    return QFIRecord(F=F, K=res.K, I=res.K * F, gap=gap.reshape(np.shape(t))[()],
+                     failures=failures)

@@ -48,11 +48,16 @@ def check_finite(a, context="matrix"):
     return a
 
 
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector of `v` (..., n), summed as np.linalg.norm
+    sums one vector, so each gets its bits."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def _squarings(a: np.ndarray) -> np.ndarray:
     """Halvings that bring the Frobenius norm of each matrix of `a` (..., d, d)
-    to <= SCALING_TARGET_NORM, the norm summed as np.linalg.norm sums one."""
-    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    to <= SCALING_TARGET_NORM."""
+    norm = norms(a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)))
     return np.ceil(np.log2(np.maximum(norm, SCALING_TARGET_NORM) / SCALING_TARGET_NORM)).astype(int)
 
 

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from nhmetro.dynamics import PHASE_EPS
+from nhmetro.dynamics import PHASE_EPS, check_normalized
 from nhmetro.errors import UnsupportedFamily
-from nhmetro.linalg import SCALING_TARGET_NORM, mat_exp
+from nhmetro.fisher import centered_state, qfi_centered
+from nhmetro.linalg import SCALING_TARGET_NORM, as_matrix, mat_exp
 from nhmetro.models import HamiltonianModel, hamiltonian
 
 
@@ -97,3 +98,12 @@ def squarings_norm(a) -> int:
     """Scaling-and-squaring count of one matrix from np.linalg.norm."""
     norm = float(np.linalg.norm(a))
     return int(np.ceil(np.log2(norm / SCALING_TARGET_NORM))) if norm > SCALING_TARGET_NORM else 0
+
+
+def qfi_generator(h, phi) -> float:
+    """F = 4||(h - <h>) phi||^2 for one generator h and one normalized state
+    phi, raising the failure that fisher.qfi_centered carries for it."""
+    F, (failure,) = qfi_centered(centered_state(as_matrix(h), check_normalized(phi)))
+    if failure is not None:
+        raise failure
+    return float(F)

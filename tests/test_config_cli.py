@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
-from nhmetro.config import parse_config, probe_from_angle
+from nhmetro.config import MAX_STEPS, parse_config, probe_from_angle
 from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
-from nhmetro.fisher import qfi_generator
 
 from conftest import SQRT_F_S
+from reference import qfi_generator
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(PKG_ROOT, "configs")
@@ -134,7 +134,8 @@ class TestCliQfi:
         main(["qfi", "--config", cfg, "--out", str(out2), "--quiet"])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_one_evolution_per_row(self, tmp_path, monkeypatch):
+    def test_one_evolution_per_config(self, tmp_path, monkeypatch):
+        # the whole 10-step time grid goes through one stacked evolve
         calls = []
         for module in (cli, fisher):
             real = module.evolve
@@ -143,7 +144,7 @@ class TestCliQfi:
         out = tmp_path / "qfi.csv"
         assert main(["qfi", "--config", write_config(tmp_path, base_config()),
                      "--out", str(out), "--quiet"]) == 0
-        assert len(calls) == 10
+        assert len(calls) == 1
 
     NEAR_EP_ALPHA = 0.785393  # 5.2e-6 below the ep_demo EP at pi/4
 
@@ -187,6 +188,83 @@ class TestCliQfi:
             f_quad = qfi_generator(fisher.generator_quadrature(model, alpha, t),
                                    evolve(model, alpha, t, linalg.basis_state(0)).phi_out)
             assert abs(float(row["F"]) - f_quad) <= 1e-9 * f_quad
+
+    def test_huge_times_fail_row_by_row(self, tmp_path, capsys):
+        # at t = 5e99 and 1e100 the output state turns nan, so F fails there;
+        # the row at t = 1 keeps every column, its cross-check included
+        doc = shipped_config("qfi_pt_s.json")
+        doc["time_grid"] = {"start": 1.0, "stop": 1e100, "steps": 3}
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 3
+        assert out.read_text() == (
+            "t,F,sqrtF,K,I,sqrtI,gap,F_closed_form,route_deviation\n"
+            "1,0.498801799358,0.706259017187,2.83182225123,1.41251803437,1.18849401949,"
+            "1.41421356237,0.498801799358,1.78062392887e-15\n"
+            "5e+99,nan,nan,nan,nan,nan,nan,nan,nan\n"
+            "1e+100,nan,nan,nan,nan,nan,nan,nan,nan\n")
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "QFI imaginary residue" in line] == [
+            "t=5e+99: QFI imaginary residue nan", "t=1e+100: QFI imaginary residue nan"]
+
+
+# (command, config overrides, the failed row's sweep value) where a
+# coefficient of the closed-form generator overflows
+OVERFLOWING_GENERATOR = {
+    "qfi_t_1e300": ("qfi", {"time_grid": {"start": 1e300, "stop": 1e300, "steps": 1}},
+                    "t=1e+300"),
+    "optimal_t_1e300": ("optimal", {"time_grid": {"start": 1e300, "stop": 1e300, "steps": 1}},
+                        "t=1e+300"),
+    "qfi_kappa_1e300": ("qfi", {"model": {"family": "kappa", "params": {"kappa": 1e300}},
+                                "time_grid": {"start": 1.0, "stop": 1.0, "steps": 1}}, "t=1.0"),
+    "optimal_kappa_1e300": ("optimal", {"model": {"family": "kappa",
+                                                  "params": {"kappa": 1e300}},
+                                        "time_grid": {"start": 1.0, "stop": 1.0, "steps": 1}},
+                            "t=1.0"),
+    "optimal_probe_sweep_t_1e300": ("optimal", {
+        "time_grid": {"start": 1e300, "stop": 1e300, "steps": 1},
+        "probe_sweep": {"start": "0deg", "stop": "0deg", "steps": 1}}, "phi_deg=0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_GENERATOR))
+def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
+    # t^3 or a complex power overflows in the generator's coefficients: a nan
+    # generator, so F fails as non-finite, never a traceback
+    command, overrides, where = OVERFLOWING_GENERATOR[case]
+    doc = shipped_config("qfi_pt_s.json")
+    doc.update(overrides)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{where}: QFI imaginary residue nan\n" in err and "Traceback" not in err
+    header, row = out.read_text().splitlines()
+    assert row.split(",")[1:] == ["nan"] * (len(header.split(",")) - 1)
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("qfi", cli, "qfi_record"), ("qfi", fisher, "evolve"),
+    ("optimal", cli, "evolve"), ("optimal", measure, "evolve")])
+def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypatch, capsys):
+    # a typed error from a stacked call fails all rows of the config, one
+    # log line each, with exit 3
+    def failing(*args):
+        raise NonFinite("injected")
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", write_config(tmp_path, base_config()), "--out", str(out)])
+    assert code == 3
+    times = [cli._fmt(t) for t in np.linspace(math.pi / 8, 10 * math.pi / 8, 10)]
+    assert capsys.readouterr().err.count(": injected\n") == 10
+    header, *rows = out.read_text().splitlines()
+    assert [row.split(",") for row in rows] == [
+        [t] + ["nan"] * (len(header.split(",")) - 1) for t in times]
 
 
 class TestCliEstimate:
@@ -324,16 +402,14 @@ class TestCliEstimate:
 
 class TestCliOptimalAndDilate:
     def test_failed_generator_is_a_failed_row(self, tmp_path, monkeypatch):
-        real = measure.generator_closed_form
+        real = measure.centered_generator_state
 
         def failing_at_third_point(*args):
-            failing_at_third_point.calls += 1
-            if failing_at_third_point.calls == 3:
-                raise NotNormalized("injected")
-            return real(*args)
+            f = real(*args).copy()
+            f[2] = np.nan  # the third probe's generator state fails
+            return f
 
-        failing_at_third_point.calls = 0
-        monkeypatch.setattr(measure, "generator_closed_form", failing_at_third_point)
+        monkeypatch.setattr(measure, "centered_generator_state", failing_at_third_point)
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
                    "estimated_param": "alpha"},
@@ -349,9 +425,10 @@ class TestCliOptimalAndDilate:
         assert rows[2][1:] == ["nan"] * 5
         assert all("nan" not in row[5] for i, row in enumerate(rows) if i != 2)
 
-    def test_optimal_row_evolves_twice_and_builds_h_once(self, tmp_path, monkeypatch):
-        # One evolution and one generator for phi, f and sqrtF; one stacked
-        # evolution for the central-difference precision_ep.
+    def test_optimal_config_evolves_three_times_and_builds_h_once(self, tmp_path, monkeypatch):
+        # For all six probes: one evolution and one generator for phi, f and
+        # sqrtF; two more evolutions, at theta + eps and theta - eps, for the
+        # central-difference precision_ep.
         evolves, generators = [], []
         for module in (cli, fisher, measure):
             real = module.evolve
@@ -368,8 +445,8 @@ class TestCliOptimalAndDilate:
             probe_sweep={"start": "0deg", "stop": "45deg", "steps": 6})
         assert main(["optimal", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "opt.csv"), "--quiet"]) == 0
-        assert len(evolves) == 2 * 6
-        assert len(generators) == 6
+        assert len(evolves) == 3
+        assert len(generators) == 1
 
     def test_optimal_probe_sweep(self, tmp_path):
         doc = base_config(
@@ -525,6 +602,25 @@ class TestMalformedInput:
         assert not out.exists()
         doc["estimation"]["n"] = 2**63 - 1
         assert parse_config(doc).estimation.n == 2**63 - 1
+
+    @pytest.mark.parametrize("command, section", [("qfi", "time_grid"),
+                                                  ("optimal", "probe_sweep")])
+    def test_grid_steps_bound(self, tmp_path, capsys, command, section):
+        # rejected while parsing, so no grid is ever allocated
+        doc = base_config(probe_sweep={"start": "0deg", "stop": "45deg", "steps": 3})
+        if command == "qfi":
+            del doc["probe_sweep"]
+        doc[section]["steps"] = 10**13
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}.steps: ") and "Traceback" not in err
+        assert not out.exists()
+        doc[section]["steps"] = MAX_STEPS + 1
+        with pytest.raises(ConfigError, match=f"{section}.steps"):
+            parse_config(doc)
+        doc[section]["steps"] = MAX_STEPS
+        assert getattr(parse_config(doc), section).steps == MAX_STEPS
 
     @pytest.mark.parametrize("overrides, field", [
         ({"probe": {"angle": 1e308}}, "probe.angle"),

@@ -10,11 +10,12 @@ from nhmetro.dynamics import evolve
 from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized, Unconverged,
                             UnsupportedFamily, UnsupportedProbe)
 from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_closed_form,
-                            qfi_generator, qfi_record, qfi_state_derivative)
+                            qfi_record, qfi_state_derivative)
 from nhmetro.models import d_hamiltonian, hamiltonian
 
 from conftest import (SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, gauge_deviation,
                       generator_from_output, real_spectrum_hamiltonians)
+from reference import qfi_generator
 
 
 def h_alpha_closed_form(s, alpha, t):
@@ -190,6 +191,10 @@ class TestQfiGenerator:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ImaginaryResidue, match="imaginary residue"):
             qfi_generator(h, phi)
+        # carried as a nan F with its typed error, not raised, by the library
+        with np.errstate(over="ignore", invalid="ignore"):
+            F, failures = fisher.qfi_centered(fisher.centered_state(h, phi))
+        assert np.isnan(F) and isinstance(failures[0], ImaginaryResidue)
         assert issubclass(ImaginaryResidue, NumericsError)
         assert qfi_generator(h * 1e-150, phi) > 0
 

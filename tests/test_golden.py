@@ -35,15 +35,24 @@ OUTPUT_DIGESTS = {
     "dilate_pt": "f8319f19e11f55818698a14ad258c819b13be84a209bbac5a1471bf31012f99e",
 }
 
+# sha256 of `optimal` on each shipped qfi config: a sweep over time with one
+# probe, where the shipped optimal config sweeps the probe at one time.
+TIME_SWEEP_OPTIMAL_DIGESTS = {
+    "qfi_pt_s": "e29e24fd5cf1d690707aedc42219f65feefef8ce85c6f5a9085547c73e324814",
+    "qfi_pt_alpha": "7a6b91012cac7bbb71f2f26c9bc76732b248421b1322e46005685db8e999fafa",
+    "qfi_kappa": "2433ea80ce7c0d2e1847d9704021caff951459072f80a340a2cd15ae4a5794da",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_shipped(tmp_path, name):
+def run_shipped(tmp_path, name, command=None):
     out = tmp_path / f"{name}.csv"
     config = os.path.join(CONFIG_DIR, f"{name}.json")
-    assert main([name.split("_")[0], "--config", config, "--out", str(out), "--quiet"]) == 0
+    command = command or name.split("_")[0]
+    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 0
     return out
 
 
@@ -57,3 +66,8 @@ def test_estimate_outputs_are_byte_identical(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_outputs_are_byte_identical(tmp_path, name):
     assert sha256(run_shipped(tmp_path, name)) == OUTPUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TIME_SWEEP_OPTIMAL_DIGESTS))
+def test_time_sweep_optimal_is_byte_identical(tmp_path, name):
+    assert sha256(run_shipped(tmp_path, name, "optimal")) == TIME_SWEEP_OPTIMAL_DIGESTS[name]
