@@ -46,15 +46,16 @@ def _fmt(value) -> str:
 
 @contextlib.contextmanager
 def _csv_rows(path, header):
-    """Open path, write the header and yield row(values). Every row is
-    flushed, so completed rows survive a partial failure."""
+    """Open path, write the header and yield write(rows), which writes an
+    iterable of rows and flushes once per call. Callers pass rows once they
+    are complete, so completed rows survive a partial failure."""
     with open(path, "w", newline="") as handle:
-        def row(values):
-            handle.write(",".join(map(_fmt, values)) + "\n")
+        def write(rows):
+            handle.writelines(",".join(map(_fmt, values)) + "\n" for values in rows)
             handle.flush()
 
-        row(header)
-        yield row
+        write([header])
+        yield write
 
 
 def _route_deviation(values) -> float:
@@ -107,11 +108,11 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
     except NumericsError as exc:
         cross_failure = exc
     with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
-                              "F_closed_form", "route_deviation"]) as row:
+                              "F_closed_form", "route_deviation"]) as write:
         for i, t in enumerate(times):
             if failures[i] is not None:
                 log(f"t={t}: {failures[i]}")
-                row([t, None, None, None, None, None, None, None, None])
+                write([[t, None, None, None, None, None, None, None, None]])
                 continue
             try:
                 f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
@@ -122,8 +123,8 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
                 deviation = _route_deviation([rec.F[i], next(f_state), f_closed])
             else:
                 log(f"t={t}: cross-check {cross_failure}")
-            row([t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
-                 rec.gap[i], f_closed, deviation])
+            write([[t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
+                    rec.gap[i], f_closed, deviation]])
     return EXIT_OK if ok.all() else EXIT_PARTIAL
 
 
@@ -139,8 +140,8 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
         raise ConfigError("measurement.matrix", f"estimate needs a rank-1 projector: {exc}")
     partial = False
     with (_csv_rows(out_path, [sweep_name, "p0", "precision", "precision_err",
-                               "mean_estimate", "bias_pct", "failed_trials"]) as row,
-          _csv_rows(out_path + ".trials.csv", [sweep_name, "trial", "estimate"]) as trial_row):
+                               "mean_estimate", "bias_pct", "failed_trials"]) as write,
+          _csv_rows(out_path + ".trials.csv", [sweep_name, "trial", "estimate"]) as write_trials):
         for idx, (sweep_value, probe, t) in enumerate(points):
             p0 = None
             try:
@@ -153,13 +154,14 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")
                 bias_pct = 100.0 * (run.mean - theta) / theta
-                row([sweep_value, p0, run.precision, run.precision_err,
-                     run.mean, bias_pct, run.failed_trials])
-                for k, est in zip(run.solved_trials, run.estimates):
-                    trial_row([sweep_value, k, est])
+                write([[sweep_value, p0, run.precision, run.precision_err,
+                        run.mean, bias_pct, run.failed_trials]])
+                # Python ints and floats: the text of their NumPy scalars (k < 10**12)
+                write_trials([sweep_value, k, est] for k, est in
+                             zip(run.solved_trials.tolist(), run.estimates.tolist()))
             except (AllTrialsFailed, NumericsError) as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                row([sweep_value, p0, None, None, None, None, spec.trials])
+                write([[sweep_value, p0, None, None, None, None, spec.trials]])
                 partial = True
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -187,18 +189,18 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         failures = (exc,) * len(values)
     partial = False
     with _csv_rows(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
-                              "precision_ep", "sqrtF"]) as row:
+                              "precision_ep", "sqrtF"]) as write:
         for i, sweep_value in enumerate(values):
             if failures[i] is not None:
                 log(f"{sweep_name}={sweep_value}: {failures[i]}")
-                row([sweep_value, None, None, None, None, None])
+                write([[sweep_value, None, None, None, None, None]])
                 partial = True
                 continue
             if report.failures[i] is not None:
                 log(f"{sweep_name}={sweep_value}: {report.failures[i]}")
                 partial = True
-            row([sweep_value, report.residual[i], report.c[i].real, report.c_imag_fraction[i],
-                 precision[i], math.sqrt(F[i])])
+            write([[sweep_value, report.residual[i], report.c[i].real,
+                    report.c_imag_fraction[i], precision[i], math.sqrt(F[i])]])
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -227,9 +229,8 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
         rows = [[t, f, p, d, eta_residual]
                 for t, f, p, d in zip(times, fidelity, success, drift)]
     with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
-                              "eta_residual"]) as row:
-        for values in rows:
-            row(values)
+                              "eta_residual"]) as write:
+        write(rows)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

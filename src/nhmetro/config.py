@@ -30,6 +30,9 @@ MAX_ANGLE = sys.float_info.max / 64
 # The most points a time grid or probe sweep may have: `qfi`, `optimal` and
 # `dilate` hold arrays over the whole grid at once.
 MAX_STEPS = 10**5
+# The most trials an `estimate` sweep point may run; it also keeps each trial
+# number k within the one 32-bit entropy word the trial seeding takes.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def _parse_bracket(value, n_points) -> tuple:
 
 def _parse_estimation(doc, n_points) -> EstimationSpec:
     n = _count(doc, "n", "estimation", 1, MAX_SHOTS)
-    trials = _count(doc, "trials", "estimation", 2)
+    trials = _count(doc, "trials", "estimation", 2, MAX_TRIALS)
     seed = _count(doc, "seed", "estimation", 0)
     bracket = _parse_bracket(_field(doc, "bracket", "estimation"), n_points)
     return EstimationSpec(n=n, trials=trials, seed=seed, bracket=bracket)

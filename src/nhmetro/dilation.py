@@ -89,6 +89,8 @@ def build_dilation(H) -> DilationSystem:
     H_s = _hermitian((H @ z_mhalf + z_half @ H) * s_inv)
     V = _hermitian(1j * (H - z_half @ H @ z_mhalf) * s_inv)
     H_tot = np.kron(np.eye(2), H_s) + np.kron(linalg.SIGMA_Y, V)
+    # an H whose metric overflows leaves NaN here, on which eigh fails untyped
+    linalg.check_finite(H_tot, "dilation Hamiltonian")
     energies, modes = np.linalg.eigh(H_tot)
     return DilationSystem(H=H, eta=G / tr, c=tr / w2, zeta=G / w2 - np.eye(2),
                           z_half=z_half, H_s=H_s, V=V, H_tot=H_tot,

@@ -6,11 +6,16 @@ to solving p(theta) = x/n inside a caller-supplied bracket.
 
 PRNG: NumPy PCG64. Trial k of a run draws from
 ``numpy.random.default_rng([seed, k])``, i.e. PCG64 seeded through
-``SeedSequence((seed, k))``; runs are bit-reproducible given (config, seed).
+``SeedSequence([seed, k])``; runs are bit-reproducible given (config, seed).
+`trial_generators` derives the PCG64 seed words of all trials of a run in
+one uint32 array step: the seed_seq hashing of NumPy's `SeedSequence`
+(O'Neill, "PCG", HMC-CS-2014-0905), vectorised over k, so each trial's
+generator is built without hashing its own `SeedSequence`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,7 @@ MAX_ROOT_ITER = 200
 @dataclass(frozen=True)
 class EstimationRun:
     estimates: np.ndarray
-    # k of the trial_rng(seed, k) behind each estimate; failed trials have none
+    # k of the trial generator behind each estimate; failed trials have none
     solved_trials: np.ndarray
     mean: float
     precision: float
@@ -39,9 +44,83 @@ class EstimationRun:
     non_monotone_scan: bool
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator: PCG64 seeded by SeedSequence((seed, trial))."""
-    return np.random.default_rng([seed, trial])
+# NumPy's SeedSequence: a pool of 4 uint32 words, the entropy hash (A), the
+# pool mix (L, R) and the output hash (B).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: each call XORs the running
+    hash constant in, steps the constant by `mult` and multiplies by it."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(seed: int, trials: int) -> np.ndarray:
+    """(trials, 4) uint64: row k is SeedSequence([seed, k]).generate_state(4,
+    np.uint64). The entropy is the 32-bit words of seed, low first, then k;
+    uint32 arithmetic wraps as SeedSequence's does."""
+    if seed < 0 or trials > 2**32:
+        raise ValueError(f"need seed >= 0 and trials <= 2**32, got {seed}, {trials}")
+    entropy = [np.full(trials, seed >> shift & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    entropy += [np.zeros(trials, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_a(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    # entropy longer than the pool (seeds >= 2**96) is mixed into every word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hash_a(word))
+    # eight output words, the pool twice over, paired low word first into uint64
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    state = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The NumPy ISeedSequence that hands PCG64 one trial's precomputed seed
+    words for the one request it makes, generate_state(4, np.uint64). Built
+    on first use: touching np.random at import would load numpy.random into
+    every command."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def trial_generators(seed: int, trials: int):
+    """Yield the generator of each trial k = 0..trials-1: PCG64 seeded by
+    SeedSequence([seed, k]), bit for bit ``numpy.random.default_rng([seed, k])``.
+    The seed words of all trials come from one array step."""
+    seed_words = _seed_words_type()
+    for words in _seed_words(seed, trials):
+        yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
 def sample_shots(p: float, n: int, rng: np.random.Generator) -> int:
@@ -147,7 +226,7 @@ def run_trials(model: HamiltonianModel, t: float, psi0, A, p: float,
     """
     if n < 1 or trials < 2:
         raise ValueError(f"need n >= 1 and trials >= 2, got n={n}, trials={trials}")
-    frequencies = [sample_shots(p, n, trial_rng(seed, k)) / n for k in range(trials)]
+    frequencies = [sample_shots(p, n, rng) / n for rng in trial_generators(seed, trials)]
     inversion = mle_invert(model, t, psi0, A, frequencies, bracket)
     solved = np.flatnonzero(~np.isnan(inversion.estimates))
     estimates = inversion.estimates[solved]

@@ -56,8 +56,10 @@ def norms(v: np.ndarray) -> np.ndarray:
 
 def _squarings(a: np.ndarray) -> np.ndarray:
     """Halvings that bring the Frobenius norm of each matrix of `a` (..., d, d)
-    to <= SCALING_TARGET_NORM."""
+    to <= SCALING_TARGET_NORM; raises NonFinite when a norm overflows."""
     norm = norms(a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)))
+    if not np.isfinite(norm).all():
+        raise NonFinite("the Frobenius norm of a finite mat_exp input overflows")
     return np.ceil(np.log2(np.maximum(norm, SCALING_TARGET_NORM) / SCALING_TARGET_NORM)).astype(int)
 
 

@@ -11,6 +11,11 @@ from nhmetro.linalg import SCALING_TARGET_NORM, as_matrix, mat_exp
 from nhmetro.models import HamiltonianModel, hamiltonian
 
 
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """NumPy's own generator of trial k: PCG64 seeded by SeedSequence([seed, k])."""
+    return np.random.default_rng([seed, trial])
+
+
 def h_eigen_oracle(model: HamiltonianModel, theta: float, t: float):
     """Closed-form eigenvalue pair of the local generator at (theta, t).
 

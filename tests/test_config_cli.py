@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
-from nhmetro.config import MAX_STEPS, parse_config, probe_from_angle
+from nhmetro.config import MAX_STEPS, MAX_TRIALS, parse_config, probe_from_angle
 from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
 
 from conftest import SQRT_F_S
-from reference import qfi_generator
+from reference import qfi_generator, trial_rng
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(PKG_ROOT, "configs")
@@ -211,7 +211,8 @@ class TestCliQfi:
 
 
 # (command, config overrides, the failed row's sweep value) where a
-# coefficient of the closed-form generator overflows
+# coefficient of the closed-form generator overflows, and before it the
+# Frobenius norm of the exponent Ht of the propagator
 OVERFLOWING_GENERATOR = {
     "qfi_t_1e300": ("qfi", {"time_grid": {"start": 1e300, "stop": 1e300, "steps": 1}},
                     "t=1e+300"),
@@ -231,8 +232,9 @@ OVERFLOWING_GENERATOR = {
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_GENERATOR))
 def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
-    # t^3 or a complex power overflows in the generator's coefficients: a nan
-    # generator, so F fails as non-finite, never a traceback
+    # |Ht| is near 1e300, so the Frobenius norm of the exponent overflows:
+    # evolve raises NonFinite before the generator's coefficients overflow,
+    # and the row fails with it, never a traceback
     command, overrides, where = OVERFLOWING_GENERATOR[case]
     doc = shipped_config("qfi_pt_s.json")
     doc.update(overrides)
@@ -242,7 +244,8 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
         code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert f"{where}: QFI imaginary residue nan\n" in err and "Traceback" not in err
+    assert f"{where}: the Frobenius norm of a finite mat_exp input overflows\n" in err
+    assert "Traceback" not in err
     header, row = out.read_text().splitlines()
     assert row.split(",")[1:] == ["nan"] * (len(header.split(",")) - 1)
 
@@ -334,7 +337,7 @@ class TestCliEstimate:
         p = outcome_probability(evolve(model, 1.0, t, ket0).phi_out, proj0)
         expected = []
         for k in range(trials):
-            x = estimate.sample_shots(p, n, estimate.trial_rng(seed, k))
+            x = estimate.sample_shots(p, n, trial_rng(seed, k))
             est = estimate.mle_invert(model, t, ket0, proj0, [x / n], bracket).estimates[0]
             if not np.isnan(est):
                 expected.append([cli._fmt(t), str(k), cli._fmt(est)])
@@ -483,6 +486,19 @@ class TestCliOptimalAndDilate:
             assert float(row["fidelity"]) >= 1 - 1e-8
             assert float(row["norm_drift"]) < 1e-9
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_dilate_overflowing_metric_is_a_numerical_failure(self, tmp_path, capsys):
+        # at s = 1e307 the metric G overflows to NaN, on which eigh would
+        # fail with an untyped LinAlgError
+        doc = shipped_config("dilate_pt.json")
+        doc["model"]["params"]["s"] = 1e307
+        out = tmp_path / "dil.csv"
+        assert main(["dilate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dilation Hamiltonian") and "Traceback" not in err
+
     def test_dilate_zero_hamiltonian(self, tmp_path):
         # pt at s = 0 is H = 0: eta = I/2 and the dilation is trivial
         doc = base_config(model={"family": "pt", "params": {"s": 0.0, "alpha": 0.5},
@@ -602,6 +618,22 @@ class TestMalformedInput:
         assert not out.exists()
         doc["estimation"]["n"] = 2**63 - 1
         assert parse_config(doc).estimation.n == 2**63 - 1
+
+    def test_trial_count_bound(self, tmp_path, capsys):
+        # rejected while parsing, so no trial is ever run
+        doc = base_config(time_grid={"start": 1.0, "stop": 1.0, "steps": 1},
+                          estimation=dict(ESTIMATION, trials=10**20))
+        cfg, out = write_config(tmp_path, doc), tmp_path / "est.csv"
+        assert main(["validate", "--config", cfg]) == 1
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: estimation.trials: ") == 2 and "Traceback" not in err
+        assert not out.exists()
+        doc["estimation"]["trials"] = MAX_TRIALS + 1
+        with pytest.raises(ConfigError, match="estimation.trials"):
+            parse_config(doc)
+        doc["estimation"]["trials"] = MAX_TRIALS
+        assert parse_config(doc).estimation.trials == MAX_TRIALS
 
     @pytest.mark.parametrize("command, section", [("qfi", "time_grid"),
                                                   ("optimal", "probe_sweep")])

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import estimate, linalg, pt_model, kappa_model
 from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import AllTrialsFailed, NotBracketed, Unconverged
-from nhmetro.estimate import SCAN_POINTS, mle_invert, run_trials, sample_shots, trial_rng
+from nhmetro.estimate import (SCAN_POINTS, mle_invert, run_trials, sample_shots,
+                              trial_generators)
 
 from conftest import BRACKETS, MLE_SEED
+from reference import trial_rng
 
 
 def probability(model, theta, t, psi0, A):
@@ -32,9 +36,68 @@ class TestSampleShots:
         # frozen draws for the documented seeding scheme (PCG64 via
         # default_rng([seed, trial])); any change to the scheme breaks
         # golden CSV reproducibility and must fail here
+        first, second = trial_generators(42, 2)
+        assert first.binomial(2000, 0.5) == 974
+        assert second.binomial(2000, 0.5) == 982
+        assert next(trial_generators(7, 2)).binomial(100, 0.25) == 26
         assert trial_rng(42, 0).binomial(2000, 0.5) == 974
         assert trial_rng(42, 1).binomial(2000, 0.5) == 982
         assert trial_rng(7, 0).binomial(100, 0.25) == 26
+
+
+def assert_numpy_streams(seed, trials):
+    """Every trial generator starts in the state of NumPy's own."""
+    generators = list(trial_generators(seed, trials))
+    assert len(generators) == trials
+    for k, rng in enumerate(generators):
+        assert rng.bit_generator.state == trial_rng(seed, k).bit_generator.state, k
+
+
+class TestTrialGenerators:
+    """`trial_generators` hashes the seed words of all trials in one array
+    step; each stream must be NumPy's default_rng([seed, k]) bit for bit."""
+
+    # one and two entropy words, four (the pool), five (longer than the
+    # pool, so the extra-entropy loop runs) and six
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**130 + 11])
+    def test_every_trial_is_numpys_stream(self, seed):
+        assert_numpy_streams(seed, 1000)
+
+    # seeds in [0, 2**140), drawn word count first, so that seeds of four or
+    # five words (entropy longer than the pool) are as common as short ones
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(1, 5).flatmap(lambda words: st.integers(
+               2**(32 * words - 32) if words > 1 else 0, min(2**(32 * words), 2**140) - 1)),
+           trials=st.integers(2, 3000))
+    def test_any_seed_gives_numpys_streams(self, seed, trials):
+        assert_numpy_streams(seed, trials)
+
+    def test_invalid_seed_or_trial_count(self):
+        with pytest.raises(ValueError):
+            next(trial_generators(-1, 2))
+        with pytest.raises(ValueError):
+            next(trial_generators(0, 2**32 + 1))
+
+    def test_run_trials_hashes_no_seed_sequence(self, ket0, proj0, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-trial SeedSequence was built")
+
+        draws = []
+
+        def counting_sample_shots(p, n, rng):
+            draws.append(rng)
+            return sample_shots(p, n, rng)
+
+        m = pt_model(1.0, math.pi / 4, "s")
+        p = probability(m, 1.0, math.pi / 4, ket0, proj0)
+        expected = run_trials(m, math.pi / 4, ket0, proj0, p, 500, 30, 99, (0.7, 1.3))
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+        monkeypatch.setattr(estimate, "sample_shots", counting_sample_shots)
+        run = run_trials(m, math.pi / 4, ket0, proj0, p, 500, 30, 99, (0.7, 1.3))
+        # one draw per trial, each from its own generator
+        assert len(draws) == len({id(rng) for rng in draws}) == 30
+        assert np.array_equal(run.estimates, expected.estimates)
 
 
 class TestMleInvert:

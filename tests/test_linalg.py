@@ -85,6 +85,17 @@ class TestMatExp:
             linalg.mat_exp(a)
         assert linalg.mat_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_overflowing_norm_raises(self, stacked):
+        # finite entries whose Frobenius norm overflows: the squaring count
+        # would be unbounded and the scaled input NaN
+        a = 1j * np.array([[0.0, 1e200], [1e200, 0.0]])
+        if stacked:
+            a = np.stack([np.eye(2, dtype=complex), a])
+        with pytest.raises(NonFinite, match="norm"):
+            linalg.mat_exp(a)
+
     def test_unitary_for_hermitian_generator(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
