@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -44,17 +45,29 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _row(values) -> str:
+    return ",".join(map(_fmt, values)) + "\n"
+
+
+def _trial_rows(sweep_value, ks, estimates) -> str:
+    """The .trials.csv rows of one sweep point as one text block: the k of
+    each solved trial as a Python int and its estimate as a Python float,
+    whose text is that of _fmt."""
+    value = _fmt(sweep_value)
+    return "".join(f"{value},{k},{est:.12g}\n" for k, est in zip(ks, estimates))
+
+
 @contextlib.contextmanager
 def _csv_rows(path, header):
-    """Open path, write the header and yield write(rows), which writes an
-    iterable of rows and flushes once per call. Callers pass rows once they
-    are complete, so completed rows survive a partial failure."""
+    """Open path, write the header row and yield write(text), which writes a
+    block of rows and flushes. Callers pass rows once they are complete, so
+    completed rows survive a partial failure."""
     with open(path, "w", newline="") as handle:
-        def write(rows):
-            handle.writelines(",".join(map(_fmt, values)) + "\n" for values in rows)
+        def write(text):
+            handle.write(text)
             handle.flush()
 
-        write([header])
+        write(_row(header))
         yield write
 
 
@@ -107,24 +120,30 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
         f_state = iter(qfi_state_derivative(cfg.model, theta, times[ok], cfg.probe))
     except NumericsError as exc:
         cross_failure = exc
+    # Whether the closed form applies (a family with one, and the probe |0>)
+    # is decided at the first row that reaches it; later rows skip the check.
+    closed_form, probe = True, cfg.probe
     with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
                               "F_closed_form", "route_deviation"]) as write:
         for i, t in enumerate(times):
             if failures[i] is not None:
                 log(f"t={t}: {failures[i]}")
-                write([[t, None, None, None, None, None, None, None, None]])
+                write(_row([t, None, None, None, None, None, None, None, None]))
                 continue
-            try:
-                f_closed = qfi_closed_form(cfg.model, theta, float(t), cfg.probe)
-            except (UnsupportedFamily, UnsupportedProbe):
-                f_closed = None
+            f_closed = None
+            if closed_form:
+                try:
+                    f_closed = qfi_closed_form(cfg.model, theta, float(t), probe)
+                    probe = None
+                except (UnsupportedFamily, UnsupportedProbe):
+                    closed_form = False
             deviation = None
             if cross_failure is None:
                 deviation = _route_deviation([rec.F[i], next(f_state), f_closed])
             else:
                 log(f"t={t}: cross-check {cross_failure}")
-            write([[t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
-                    rec.gap[i], f_closed, deviation]])
+            write(_row([t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
+                        rec.gap[i], f_closed, deviation]))
     return EXIT_OK if ok.all() else EXIT_PARTIAL
 
 
@@ -154,14 +173,14 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")
                 bias_pct = 100.0 * (run.mean - theta) / theta
-                write([[sweep_value, p0, run.precision, run.precision_err,
-                        run.mean, bias_pct, run.failed_trials]])
+                write(_row([sweep_value, p0, run.precision, run.precision_err,
+                            run.mean, bias_pct, run.failed_trials]))
                 # Python ints and floats: the text of their NumPy scalars (k < 10**12)
-                write_trials([sweep_value, k, est] for k, est in
-                             zip(run.solved_trials.tolist(), run.estimates.tolist()))
+                write_trials(_trial_rows(sweep_value, run.solved_trials.tolist(),
+                                         run.estimates.tolist()))
             except (AllTrialsFailed, NumericsError) as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                write([[sweep_value, p0, None, None, None, None, spec.trials]])
+                write(_row([sweep_value, p0, None, None, None, None, spec.trials]))
                 partial = True
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -193,14 +212,14 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         for i, sweep_value in enumerate(values):
             if failures[i] is not None:
                 log(f"{sweep_name}={sweep_value}: {failures[i]}")
-                write([[sweep_value, None, None, None, None, None]])
+                write(_row([sweep_value, None, None, None, None, None]))
                 partial = True
                 continue
             if report.failures[i] is not None:
                 log(f"{sweep_name}={sweep_value}: {report.failures[i]}")
                 partial = True
-            write([[sweep_value, report.residual[i], report.c[i].real,
-                    report.c_imag_fraction[i], precision[i], math.sqrt(F[i])]])
+            write(_row([sweep_value, report.residual[i], report.c[i].real,
+                        report.c_imag_fraction[i], precision[i], math.sqrt(F[i])]))
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -230,7 +249,7 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
                 for t, f, p, d in zip(times, fidelity, success, drift)]
     with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
                               "eta_residual"]) as write:
-        write(rows)
+        write("".join(map(_row, rows)))
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -242,7 +261,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nhmetro",
         description="Simulate parameter estimation under non-Hermitian dynamics.")
@@ -262,19 +283,22 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(message, file=sys.stderr)
 
+    # Overflow and nan surface as typed failures (NonFinite, a nan row), so
+    # NumPy's floating-point warnings would only print ahead of them.
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None and cfg.estimation is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
-            cfg = replace(cfg, estimation=replace(cfg.estimation, seed=args.seed))
-        if args.command == "validate":
-            log(f"{args.config}: ok")
-            return EXIT_OK
-        out_path = args.out or cfg.csv_path
-        if out_path is None:
-            raise ConfigError("output.csv_path", "missing (or pass --out)")
-        code = COMMANDS[args.command](cfg, out_path, log)
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config)
+            if args.seed is not None and cfg.estimation is not None:
+                if args.seed < 0:
+                    raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
+                cfg = replace(cfg, estimation=replace(cfg.estimation, seed=args.seed))
+            if args.command == "validate":
+                log(f"{args.config}: ok")
+                return EXIT_OK
+            out_path = args.out or cfg.csv_path
+            if out_path is None:
+                raise ConfigError("output.csv_path", "missing (or pass --out)")
+            code = COMMANDS[args.command](cfg, out_path, log)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

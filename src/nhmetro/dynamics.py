@@ -67,8 +67,9 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     at one theta for each t of a 1-D array (not both arrays at once); psi0
     is one probe (2,), or a stack (P, 2) when theta and t are both scalars.
 
-    A stacked result equals the per-point results bit for bit: each
-    generator -i t H is built exactly as for one point, the stack goes
+    A stacked result equals the per-point results bit for bit: one
+    `hamiltonian` call builds H for every theta (each the bits of a single
+    call), each generator -i t H is rounded as for one point, the stack goes
     through one `mat_exp` call (a probe stack shares one exponential), and
     K and the phase fix are one array step over every output vector.
     """
@@ -80,11 +81,7 @@ def evolve(model: HamiltonianModel, theta, t, psi0) -> EvolutionResult:
     times = np.asarray(t, dtype=float)
     if (times < 0).any():
         raise OutOfRange(f"evolution time must be nonnegative, got {times.min()}")
-    if np.ndim(theta) == 0:
-        H = hamiltonian(model, theta)
-    else:
-        H = np.array([hamiltonian(model, th) for th in theta])
-    generator = (-1j * times)[..., None, None] * H
+    generator = (-1j * times)[..., None, None] * hamiltonian(model, theta)
     raw = (linalg.mat_exp(generator) @ psi0[..., None])[..., 0]
     K = np.vecdot(raw, raw).real
     return EvolutionResult(phi_out=fix_phase(raw / np.sqrt(K)[..., None]), K=K)

@@ -56,43 +56,82 @@ def custom_model(h_func, d_func, params=None, estimated_param="theta") -> Hamilt
     return HamiltonianModel("custom", dict(params or {}), estimated_param, h_func, d_func)
 
 
-def _check_pt(s: float, alpha: float):
+def _check_range(*checks):
+    """Raise OutOfRange at the first point where a check fails, with the
+    message of the first check that fails there. Each check is (bad, value,
+    message); bad and value are one point's bool and float, or arrays over
+    the points (a fixed parameter's float broadcasts)."""
+    bad = checks[0][0]
+    for check in checks[1:]:
+        bad = bad | check[0]
+    if not np.count_nonzero(bad):
+        return
+    i = np.argmax(bad)
+    for check_bad, value, message in checks:
+        if np.broadcast_to(check_bad, np.shape(bad)).flat[i]:
+            raise OutOfRange(message.format(float(np.broadcast_to(value, np.shape(bad)).flat[i])))
+
+
+def _check_pt(s, alpha):
     # s = 0 is tolerated as the trivial zero Hamiltonian.
-    if s < 0:
-        raise OutOfRange(f"pt family requires s >= 0, got {s}")
-    if not 0 < alpha < math.pi / 2:
-        raise OutOfRange(f"pt family requires 0 < alpha < pi/2, got {alpha}")
+    _check_range((np.less(s, 0), s, "pt family requires s >= 0, got {}"),
+                 (np.logical_not((0 < alpha) & (alpha < math.pi / 2)), alpha,
+                  "pt family requires 0 < alpha < pi/2, got {}"))
 
 
-def _check_kappa(kappa: float):
-    if kappa <= 0 or kappa == 1:
-        raise OutOfRange(f"kappa family requires kappa > 0 and kappa != 1, got {kappa}")
+def _check_kappa(kappa):
+    _check_range((np.less_equal(kappa, 0) | np.equal(kappa, 1), kappa,
+                  "kappa family requires kappa > 0 and kappa != 1, got {}"))
 
 
-def _check_ep_demo(alpha: float):
+def _check_ep_demo(alpha):
     # cos(2 alpha) > 0 keeps the spectrum real (unbroken regime).
-    if not 0 < alpha < math.pi / 4:
-        raise OutOfRange(f"ep_demo family requires 0 < alpha < pi/4, got {alpha}")
+    _check_range((np.logical_not((0 < alpha) & (alpha < math.pi / 4)), alpha,
+                  "ep_demo family requires 0 < alpha < pi/4, got {}"))
 
 
-def hamiltonian(model: HamiltonianModel, theta: float) -> np.ndarray:
-    if model.family == "pt":
-        p = model.bound_params(theta)
-        s, alpha = p["s"], p["alpha"]
-        _check_pt(s, alpha)
-        return s * np.array([[1j * math.sin(alpha), 1.0], [1.0, -1j * math.sin(alpha)]])
-    if model.family == "kappa":
-        kappa = model.bound_params(theta)["kappa"]
-        _check_kappa(kappa)
-        return np.array([[0.0, kappa], [1.0, 0.0]], dtype=complex)
-    if model.family == "ep_demo":
-        alpha = model.bound_params(theta)["alpha"]
-        _check_ep_demo(alpha)
-        c, s = math.cos(alpha), math.sin(alpha)
-        return np.array([[1j * s, c], [c, -1j * s]])
+def _trig(func, x: np.ndarray) -> np.ndarray:
+    """math.sin or math.cos of each entry of x: np.sin and np.cos may round
+    differently."""
+    return np.array([func(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
+    """H(theta) for one theta (2, 2) or for each theta of a 1-D array (N, 2, 2).
+
+    Each matrix of a stack equals the single call bit for bit. Only the
+    scalar trig (math.sin, math.cos) and a custom h_func run per theta; the
+    range check, the matrix assembly and the pt product s * (...) are one
+    array step. A range error names the first theta out of range, in the
+    text of the single call.
+    """
+    thetas = np.asarray(theta, dtype=float)
     if model.family == "custom":
-        return np.asarray(model.h_func(theta), dtype=complex)
-    raise UnsupportedFamily(f"unknown family {model.family!r}")
+        H = [np.asarray(model.h_func(th), dtype=complex) for th in thetas.ravel().tolist()]
+        return np.array(H, dtype=complex).reshape(thetas.shape + (2, 2))
+    if model.family not in PARAMS:
+        raise UnsupportedFamily(f"unknown family {model.family!r}")
+    p = model.bound_params(thetas)
+    H = np.zeros(thetas.shape + (2, 2), dtype=complex)
+    if model.family == "kappa":
+        _check_kappa(p["kappa"])
+        H[..., 0, 1] = p["kappa"]
+        H[..., 1, 0] = 1.0
+        return H
+    if model.family == "pt":
+        _check_pt(p["s"], p["alpha"])
+    else:
+        _check_ep_demo(p["alpha"])
+    alpha = np.asarray(p["alpha"])
+    sin = _trig(math.sin, alpha)
+    H[..., 0, 0].imag = sin
+    H[..., 1, 1].imag = -sin
+    if model.family == "ep_demo":
+        H[..., 0, 1] = H[..., 1, 0] = _trig(math.cos, alpha)
+        return H
+    H[..., 0, 1] = H[..., 1, 0] = 1.0
+    # a complex product, rounded as the scalar s times a complex matrix
+    return np.asarray(p["s"])[..., None, None] * H
 
 
 def d_hamiltonian(model: HamiltonianModel, theta: float) -> np.ndarray:

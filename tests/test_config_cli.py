@@ -146,6 +146,22 @@ class TestCliQfi:
                      "--out", str(out), "--quiet"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("doc, probed, calls", [
+        (base_config(), 1, 10),
+        (base_config(probe={"angle": "30deg"}), 1, 1),
+        (base_config(model={"family": "ep_demo", "params": {"alpha": 0.5}}), 1, 1)])
+    def test_closed_form_is_decided_once(self, tmp_path, monkeypatch, doc, probed, calls):
+        # the probe check of the closed form runs once per config; a family
+        # without one, or a probe other than |0>, turns it off for every row
+        seen = []
+        real = cli.qfi_closed_form
+        monkeypatch.setattr(cli, "qfi_closed_form",
+                            lambda *args: seen.append(args[3] is not None) or real(*args))
+        out = tmp_path / "qfi.csv"
+        assert main(["qfi", "--config", write_config(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == 0
+        assert (sum(seen), len(seen)) == (probed, calls)
+
     NEAR_EP_ALPHA = 0.785393  # 5.2e-6 below the ep_demo EP at pi/4
 
     def near_ep_rows(self, tmp_path, capsys):
@@ -195,9 +211,7 @@ class TestCliQfi:
         doc = shipped_config("qfi_pt_s.json")
         doc["time_grid"] = {"start": 1.0, "stop": 1e100, "steps": 3}
         out = tmp_path / "huge.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        code = main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)])
         assert code == 3
         assert out.read_text() == (
             "t,F,sqrtF,K,I,sqrtI,gap,F_closed_form,route_deviation\n"
@@ -239,9 +253,7 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
     doc = shipped_config("qfi_pt_s.json")
     doc.update(overrides)
     out = tmp_path / "out.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+    code = main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert f"{where}: the Frobenius norm of a finite mat_exp input overflows\n" in err
@@ -268,6 +280,54 @@ def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypat
     header, *rows = out.read_text().splitlines()
     assert [row.split(",") for row in rows] == [
         [t] + ["nan"] * (len(header.split(",")) - 1) for t in times]
+
+
+# every typed failure prints alone: no NumPy warning goes ahead of it, and
+# none turns into an error when warnings are errors
+SILENT_OVERFLOWS = {
+    "dilate_s_1e307": ("dilate", "dilate_pt.json", {"model": {
+        "family": "pt", "params": {"s": 1e307, "alpha": math.pi / 4},
+        "estimated_param": "s"}}, 2,
+        ["numerical failure: dilation Hamiltonian contains NaN/Inf entries"]),
+    "qfi_t_1e300": ("qfi", "qfi_pt_s.json", {"time_grid": {"start": 1.0, "stop": 1e300,
+                                                           "steps": 2}}, 3,
+                    ["t=1.0: the Frobenius norm of a finite mat_exp input overflows",
+                     "t=1e+300: the Frobenius norm of a finite mat_exp input overflows",
+                     "completed with failed rows (exit 3)"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(SILENT_OVERFLOWS))
+def test_overflow_prints_only_typed_lines(case, tmp_path, capsys):
+    command, name, overrides, code, lines = SILENT_OVERFLOWS[case]
+    doc = shipped_config(name)
+    doc.update(overrides)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == lines
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# sweep values and estimates: exact integers, 1e-300..1e300 of either sign,
+# and values that print in exponent form at 12 digits
+CSV_FLOATS = (st.integers(-10**15, 10**15).map(float)
+              | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+              | st.sampled_from([1e12, 1e16, 1.5e-5, 1e-4, 123456789012.5, -0.0, 0.0])
+              | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=CSV_FLOATS, rows=st.lists(st.tuples(st.integers(0, 10**12 - 1), CSV_FLOATS),
+                                       max_size=20))
+def test_trial_rows_text_is_the_fmt_join(value, rows):
+    ks = [k for k, _ in rows]
+    estimates = [est for _, est in rows]
+    assert cli._trial_rows(value, ks, estimates) == "".join(
+        ",".join(map(cli._fmt, [value, k, est])) + "\n" for k, est in rows)
 
 
 class TestCliEstimate:
@@ -486,8 +546,6 @@ class TestCliOptimalAndDilate:
             assert float(row["fidelity"]) >= 1 - 1e-8
             assert float(row["norm_drift"]) < 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_dilate_overflowing_metric_is_a_numerical_failure(self, tmp_path, capsys):
         # at s = 1e307 the metric G overflows to NaN, on which eigh would
         # fail with an untyped LinAlgError

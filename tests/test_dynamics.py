@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import custom_model, ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro import custom_model, dynamics, ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dynamics import (PHASE_EPS, check_projector, evolve, expectation, fix_phase,
                               outcome_probability)
 from nhmetro.errors import NotNormalized, NotProjector, OutOfRange
+from nhmetro.models import hamiltonian
 
 import reference
 from conftest import P0_PROBE, P0_TIME, T18, probe_state
@@ -131,6 +132,18 @@ def test_evolve_takes_one_array_argument(ket0):
     model = pt_model(1.0, 0.7, "s")
     with pytest.raises(ValueError, match="not both"):
         evolve(model, np.array([0.9, 1.1]), np.array([0.5, 1.0]), ket0)
+
+
+def test_theta_stack_builds_h_in_one_call(ket0, monkeypatch):
+    calls = []
+
+    def counting(model, theta):
+        calls.append(np.shape(theta))
+        return hamiltonian(model, theta)
+
+    monkeypatch.setattr(dynamics, "hamiltonian", counting)
+    evolve(pt_model(1.0, 0.7, "s"), np.linspace(0.5, 1.5, 64), 1.0, ket0)
+    assert calls == [(64,)]
 
 
 def test_every_time_of_an_array_is_checked(ket0):

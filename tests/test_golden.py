@@ -23,6 +23,10 @@ DIGESTS = {
                       "415cce41cd9c736715a27f6bf3560d0c3627240e54307178a107fc65d70c7acf"),
     "estimate_kappa": ("7e823ff40943b553795f1e687bd95d10ffe8956374b6c049a2779c8dcf08db07",
                        "26d638d981c94ebe99914474ec27b3895e82cf47a8dc8f47ceeb0976d02be028"),
+    "estimate_pt_alpha": ("3748fe6e7430402091144a2016e2ca3a2fae22504c07810e9f37e601735bbd66",
+                          "235fdcebd03661bb2c4bccb2bf02702f1b0f8453f5c77cd20edfea2fca17ca2f"),
+    "estimate_smoke": ("eb9a5841b14a2909ca13b2e876a67fbbc9d3d5e04d9817f322a15efb2a75d54c",
+                       "3ab3e7644792f282ef9e1d98965fb40b10c317cb669e7a6517a4af0385a6a5d3"),
 }
 
 # sha256 of the CSV of each shipped qfi, optimal and dilate config; the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.errors import OutOfRange, UnsupportedFamily
@@ -46,6 +48,95 @@ class TestHamiltonian:
         m = custom_model(lambda th: th * linalg.SIGMA_Z, lambda th: linalg.SIGMA_Z)
         assert np.allclose(hamiltonian(m, 0.7), 0.7 * linalg.SIGMA_Z)
         assert np.allclose(d_hamiltonian(m, 0.7), linalg.SIGMA_Z)
+
+
+EP_ALPHA = math.pi / 4
+# theta strictly inside (0, pi/2) for pt alpha, and inside (0, pi/4) for ep_demo,
+# half of the time within 1e-3 of its EP
+PT_ALPHAS = st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True)
+EP_DEMO_ALPHAS = (st.floats(0.0, EP_ALPHA, exclude_min=True, exclude_max=True)
+                  | st.floats(EP_ALPHA - 1e-3, EP_ALPHA, exclude_max=True))
+PT_S = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6) | st.floats(0.0, 1e300)
+
+
+def custom_h(theta):
+    return np.array([[math.sin(theta), 1j * theta], [theta * theta, -math.cos(theta)]])
+
+
+@st.composite
+def stacks(draw):
+    """(model, list of theta) for each family, custom included."""
+    family = draw(st.sampled_from(["pt_s", "pt_alpha", "kappa", "ep_demo", "custom"]))
+    size = dict(min_size=1, max_size=70)
+    if family == "pt_s":
+        return pt_model(1.0, draw(PT_ALPHAS), "s"), draw(st.lists(PT_S, **size))
+    if family == "pt_alpha":
+        return pt_model(draw(PT_S), 0.5, "alpha"), draw(st.lists(PT_ALPHAS, **size))
+    if family == "kappa":
+        kappas = st.floats(0.0, 1e6, exclude_min=True).filter(lambda k: k != 1.0)
+        return kappa_model(2.0), draw(st.lists(kappas, **size))
+    if family == "ep_demo":
+        return ep_demo_model(0.5), draw(st.lists(EP_DEMO_ALPHAS, **size))
+    return (custom_model(custom_h, custom_h),
+            draw(st.lists(st.floats(-10.0, 10.0), **size)))
+
+
+def literal_hamiltonian(model, theta):
+    """One point's H as an explicit 2x2 literal with math.sin and math.cos."""
+    p = model.bound_params(theta)
+    if model.family == "pt":
+        a = math.sin(p["alpha"])
+        return p["s"] * np.array([[1j * a, 1.0], [1.0, -1j * a]])
+    if model.family == "kappa":
+        return np.array([[0.0, p["kappa"]], [1.0, 0.0]], dtype=complex)
+    if model.family == "ep_demo":
+        c, s = math.cos(p["alpha"]), math.sin(p["alpha"])
+        return np.array([[1j * s, c], [c, -1j * s]])
+    return np.asarray(model.h_func(theta), dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stacks())
+def test_stacked_hamiltonian_matches_single_calls(case):
+    model, thetas = case
+    stacked = hamiltonian(model, np.array(thetas))
+    singles = [hamiltonian(model, th) for th in thetas]
+    assert stacked.shape == (len(thetas), 2, 2)
+    assert stacked.tobytes() == np.array(singles).tobytes()
+    assert np.array(singles).tobytes() == np.array(
+        [literal_hamiltonian(model, th) for th in thetas]).tobytes()
+
+
+@pytest.mark.parametrize("model, thetas, message", [
+    (pt_model(1.0, 0.5, "s"), [1.0, 2.0, -0.25, -3.0],
+     "pt family requires s >= 0, got -0.25"),
+    (pt_model(1.0, 0.5, "alpha"), [0.5, 1.0, 1.75, -1.0],
+     "pt family requires 0 < alpha < pi/2, got 1.75"),
+    (pt_model(1.0, 2.0, "s"), [1.0, -1.0],
+     "pt family requires 0 < alpha < pi/2, got 2.0"),
+    (pt_model(-1.0, 0.5, "alpha"), [0.5, 2.0],
+     "pt family requires s >= 0, got -1.0"),
+    (kappa_model(2.0), [2.0, 3.0, 1.0, -1.0], "kappa family requires kappa > 0 and "
+     "kappa != 1, got 1.0"),
+    (ep_demo_model(0.5), [0.5, 0.25, math.pi / 4, 0.0],
+     f"ep_demo family requires 0 < alpha < pi/4, got {math.pi / 4}"),
+])
+def test_stack_range_error_names_the_first_bad_theta(model, thetas, message):
+    with pytest.raises(OutOfRange) as stacked:
+        hamiltonian(model, np.array(thetas))
+    assert str(stacked.value) == message
+    first_bad = next(th for th in thetas if not _in_range(model, th))
+    with pytest.raises(OutOfRange) as single:
+        hamiltonian(model, first_bad)
+    assert str(single.value) == message
+
+
+def _in_range(model, theta) -> bool:
+    try:
+        hamiltonian(model, theta)
+    except OutOfRange:
+        return False
+    return True
 
 
 class TestDHamiltonian:
