@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -28,7 +29,7 @@ from .dynamics import check_projector, evolve, outcome_probability
 from .errors import (AllTrialsFailed, ConfigError, NotHermitian, NotProjector, NumericsError,
                      UnsupportedFamily, UnsupportedProbe)
 from .estimate import run_trials
-from .fisher import qfi_centered, qfi_closed_form, qfi_record, qfi_state_derivative
+from .fisher import qfi_closed_form, qfi_record, qfi_state_derivative
 from .models import hamiltonian
 
 EXIT_OK = 0
@@ -100,29 +101,31 @@ def _sweep_points(cfg: ExperimentConfig):
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
-    """One QFI record and one state-derivative cross-check over the whole
-    time grid. A failed row, or every row when a stacked call raises, is a
-    nan row with its error logged; the closed form stays per row."""
+    """One evolution and one QFI record over the whole time grid, and one call
+    per cross-check over its rows that did not fail. A failed row, or every
+    row when a stacked call raises, is a nan row with its error logged."""
     if cfg.probe_sweep is not None:
         raise ConfigError("probe_sweep", "qfi sweeps time only")
     theta = cfg.model.true_value
     times = cfg.time_grid.linspace()
     try:
-        rec = qfi_record(cfg.model, theta, times, cfg.probe)
+        rec = qfi_record(cfg.model, theta, times, evolve(cfg.model, theta, times, cfg.probe))
         failures = rec.failures
     except NumericsError as exc:
         failures = (exc,) * len(times)
     ok = np.array([failure is None for failure in failures])
-    # Cross-check of the rows that did not fail: a failure blanks their
-    # route_deviation, not the rows.
+    # Cross-checks of the rows that did not fail: a failure blanks their
+    # route_deviation, not the rows; a closed form that does not apply
+    # (family, or a probe other than |0>) leaves F_closed_form nan.
     cross_failure = None
     try:
         f_state = iter(qfi_state_derivative(cfg.model, theta, times[ok], cfg.probe))
     except NumericsError as exc:
         cross_failure = exc
-    # Whether the closed form applies (a family with one, and the probe |0>)
-    # is decided at the first row that reaches it; later rows skip the check.
-    closed_form, probe = True, cfg.probe
+    try:
+        f_closed = iter(qfi_closed_form(cfg.model, theta, times[ok], cfg.probe))
+    except (UnsupportedFamily, UnsupportedProbe):
+        f_closed = itertools.repeat(None)
     with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
                               "F_closed_form", "route_deviation"]) as write:
         for i, t in enumerate(times):
@@ -130,20 +133,14 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
                 log(f"t={t}: {failures[i]}")
                 write(_row([t, None, None, None, None, None, None, None, None]))
                 continue
-            f_closed = None
-            if closed_form:
-                try:
-                    f_closed = qfi_closed_form(cfg.model, theta, float(t), probe)
-                    probe = None
-                except (UnsupportedFamily, UnsupportedProbe):
-                    closed_form = False
+            closed = next(f_closed)
             deviation = None
             if cross_failure is None:
-                deviation = _route_deviation([rec.F[i], next(f_state), f_closed])
+                deviation = _route_deviation([rec.F[i], next(f_state), closed])
             else:
                 log(f"t={t}: cross-check {cross_failure}")
             write(_row([t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
-                        rec.gap[i], f_closed, deviation]))
+                        rec.gap[i], closed, deviation]))
     return EXIT_OK if ok.all() else EXIT_PARTIAL
 
 
@@ -186,7 +183,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
-    """One evolution, one generator and one residual fit over all points,
+    """One evolution, one QFI record and one residual fit over all points,
     and two more evolutions for precision_ep. A row whose F fails, or every
     row when a stacked call raises, is a nan row with its error logged."""
     sweep_name, values, probes, t = _sweep(cfg)
@@ -196,14 +193,14 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
     except NotHermitian as exc:
         raise ConfigError("measurement.matrix", f"optimal needs a Hermitian observable: {exc}")
     try:
-        phi = evolve(cfg.model, theta, t, probes).phi_out
-        f = measure.centered_generator_state(cfg.model, theta, t, phi)
-        F, failures = qfi_centered(f)
-        report = measure.optimality_residual(phi, f, observable)
+        res = evolve(cfg.model, theta, t, probes)
+        rec = qfi_record(cfg.model, theta, t, res)
+        failures = rec.failures
+        report = measure.optimality_residual(res.phi_out, rec.f, observable)
         # nan where degenerate: flagged, not dropped, as the paper's own
         # tables have blank entries at probability extrema
-        precision = measure.error_propagation_precision(cfg.model, theta, t, probes, phi,
-                                                        observable)
+        precision = measure.error_propagation_precision(cfg.model, theta, t, probes,
+                                                        res.phi_out, observable)
     except NumericsError as exc:
         failures = (exc,) * len(values)
     partial = False
@@ -219,7 +216,7 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
                 log(f"{sweep_name}={sweep_value}: {report.failures[i]}")
                 partial = True
             write(_row([sweep_value, report.residual[i], report.c[i].real,
-                        report.c_imag_fraction[i], precision[i], math.sqrt(F[i])]))
+                        report.c_imag_fraction[i], precision[i], math.sqrt(rec.F[i])]))
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

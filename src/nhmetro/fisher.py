@@ -8,8 +8,10 @@ normalized output state with dU/dtheta taken exactly from one 4x4 block
 exponential, and closed forms for the catalog families. The generator's
 eigenvalue gap is a closed form too, exact (0) at a defective h.
 
-The generator, the output derivative and the QFI record take one t or a 1-D
-array of t, and give each t of an array the bits of a single call. A row
+The generator, the output derivative and the two cross-check QFI routes
+take one t or a 1-D array of t; `qfi_record` takes an `evolve` result (also
+a probe stack at one t) and gives the one f = (h - <h>) phi and F that every
+caller reads. Each point of a stack gets the bits of a single call. A row
 that fails is carried as nan in the stacked result, with its typed error in
 the row's `failures` entry, so one bad t never stops the others.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import check_normalized, evolve
+from .dynamics import EvolutionResult, check_normalized, evolve
 from .errors import ImaginaryResidue, Unconverged, UnsupportedFamily, UnsupportedProbe
 from .models import HamiltonianModel, d_hamiltonian, hamiltonian
 
@@ -144,7 +146,7 @@ def centered_state(h, phi) -> np.ndarray:
     state or a stack (..., 2), or a stack of h (N, 2, 2) with one state each.
     F = 4<f|f> is the generalized variance 4(<h^dag h> - <h^dag><h>) with no
     difference of nearly equal terms, so F keeps its relative accuracy as
-    t -> 0."""
+    t -> 0. measure takes g = (A - <A>) phi of an observable A from here too."""
     hphi = (h @ phi[..., None])[..., 0]
     return hphi - np.vecdot(phi, hphi)[..., None] * phi
 
@@ -187,16 +189,7 @@ def qfi_state_derivative(model: HamiltonianModel, theta: float, t, psi0):
 KET0_TOL = 1e-12
 
 
-def _require_ket0(psi0):
-    psi0 = check_normalized(psi0)
-    if abs(psi0[0] - 1.0) > KET0_TOL or np.linalg.norm(psi0[1:]) > KET0_TOL:
-        raise UnsupportedProbe("closed-form QFI expressions require the probe |0>")
-
-
-def qfi_closed_form(model: HamiltonianModel, theta: float, t: float, psi0=None) -> float:
-    """The catalog families' analytic QFI, valid for the probe |0> only."""
-    if psi0 is not None:
-        _require_ket0(psi0)
+def _closed_form_at(model: HamiltonianModel, theta: float, t: float) -> float:
     if model.family == "pt":
         p = model.bound_params(theta)
         s, alpha = p["s"], p["alpha"]
@@ -219,12 +212,26 @@ def qfi_closed_form(model: HamiltonianModel, theta: float, t: float, psi0=None) 
     raise UnsupportedFamily(f"no closed-form QFI for family {model.family!r}")
 
 
+def qfi_closed_form(model: HamiltonianModel, theta: float, t, psi0):
+    """The catalog families' analytic QFI for the probe |0> only, at one t or
+    each t of a 1-D array: the probe is checked once, and each t gets the
+    bits of a single call (scalar `math` code per t)."""
+    psi0 = check_normalized(psi0)
+    if abs(psi0[0] - 1.0) > KET0_TOL or np.linalg.norm(psi0[1:]) > KET0_TOL:
+        raise UnsupportedProbe("closed-form QFI expressions require the probe |0>")
+    times = np.asarray(t, dtype=float)
+    return np.reshape([_closed_form_at(model, theta, tk) for tk in times.ravel().tolist()],
+                      times.shape)[()]
+
+
 @dataclass(frozen=True)
 class QFIRecord:
-    """QFI bundle at one (theta, t) point, or arrays over a 1-D array of t:
-    F, K, I = K F and the generator's eigenvalue gap. A failed t is nan in F,
+    """QFI bundle at one (theta, t) point, or arrays over a 1-D array of t or
+    a stack of probes: the centered generator state f = (h - <h>) phi, F, K,
+    I = K F and the generator's eigenvalue gap. A failed point is nan in F,
     I and gap, and `failures` holds its typed error (None for the others)."""
 
+    f: np.ndarray
     F: float | np.ndarray
     K: float | np.ndarray
     I: float | np.ndarray
@@ -239,14 +246,26 @@ def eigen_gap(h) -> float:
     return 2 * abs(cmath.sqrt(half * half + h[0, 1] * h[1, 0]))
 
 
-def qfi_record(model: HamiltonianModel, theta: float, t, psi0) -> QFIRecord:
-    """F, K, I and gap at one t or each t of a 1-D array, from one `evolve`
-    and one generator stack. eigen_gap stays per t (NumPy's array sqrt and
-    abs would round the gap differently); a failed t gets no gap."""
-    res = evolve(model, theta, t, psi0)
+def qfi_record(model: HamiltonianModel, theta: float, t, res: EvolutionResult) -> QFIRecord:
+    """The QFIRecord of res = evolve(model, theta, t, psi0) from one generator
+    stack (a probe stack shares one h). eigen_gap stays per h (NumPy's array
+    sqrt and abs would round the gap differently); a failed point gets none."""
     h = generator_closed_form(model, theta, t)
-    F, failures = qfi_centered(centered_state(h, check_normalized(res.phi_out)))
-    gap = np.array([np.nan if failure else eigen_gap(hk)
-                    for hk, failure in zip(h.reshape(-1, 2, 2), failures)])
-    return QFIRecord(F=F, K=res.K, I=res.K * F, gap=gap.reshape(np.shape(t))[()],
+    f = centered_state(h, check_normalized(res.phi_out))
+    F, failures = qfi_centered(f)
+    failed = np.reshape([failure is not None for failure in failures], np.shape(F))
+    gap = np.reshape([eigen_gap(hk) for hk in h.reshape(-1, 2, 2)], h.shape[:-2])
+    return QFIRecord(f=f, F=F, K=res.K, I=res.K * F, gap=np.where(failed, np.nan, gap)[()],
                      failures=failures)
+
+
+def sld_operator(model: HamiltonianModel, theta: float, t: float, psi0) -> np.ndarray:
+    """Symmetric logarithmic derivative 2 d(rho)/dtheta of the pure output state.
+
+    Exact: d|phi> = -i f + (i beta) |phi> with f = (h - <h>) phi and a real
+    beta that drops out of d(rho), so L = 2i(|phi><f| - |f><phi|); then
+    Tr(rho L^2) = 4||f||^2 = F.
+    """
+    res = evolve(model, theta, t, psi0)
+    phi, f = res.phi_out, qfi_record(model, theta, t, res).f
+    return 2j * (np.outer(phi, f.conj()) - np.outer(f, phi.conj()))

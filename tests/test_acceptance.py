@@ -20,9 +20,9 @@ from nhmetro.config import load_config
 from nhmetro.dilation import build_dilation, evolve_dilated
 from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.estimate import run_trials
-from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_centered,
-                            qfi_closed_form, qfi_state_derivative)
-from nhmetro.measure import Observable, centered_generator_state, error_propagation_precision
+from nhmetro.fisher import (generator_closed_form, generator_quadrature, qfi_closed_form,
+                            qfi_record, qfi_state_derivative)
+from nhmetro.measure import Observable, error_propagation_precision
 from nhmetro.models import hamiltonian
 
 from conftest import (BRACKETS, INV_SQRT_F_PROBE, MLE_SEED, P0_PROBE, P0_TIME,
@@ -152,12 +152,12 @@ def test_claim_projector_attains_the_qcrb():
         cfg = load_config(str(path))
         theta, A = cfg.model.true_value, cfg.measurement
         for t in cfg.time_grid.linspace():
-            phi = evolve(cfg.model, theta, t, cfg.probe).phi_out
-            f = centered_generator_state(cfg.model, theta, t, phi)
+            res = evolve(cfg.model, theta, t, cfg.probe)
+            phi, rec = res.phi_out, qfi_record(cfg.model, theta, t, res)
             p = float(np.vdot(phi, A @ phi).real)
-            slope = 2 * np.vdot(A @ phi - p * phi, f).imag
+            slope = 2 * np.vdot(A @ phi - p * phi, rec.f).imag
             cfi = slope ** 2 / (p * (1 - p))
-            assert abs(cfi / qfi_centered(f)[0] - 1) <= 1e-12, (path.name, t)
+            assert abs(cfi / rec.F - 1) <= 1e-12, (path.name, t)
             eps = 1e-6 * theta
             stencil = evolve(cfg.model, np.array([theta + eps, theta - eps]), t,
                              cfg.probe).phi_out

@@ -135,32 +135,43 @@ class TestCliQfi:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_one_evolution_per_config(self, tmp_path, monkeypatch):
-        # the whole 10-step time grid goes through one stacked evolve
-        calls = []
-        for module in (cli, fisher):
-            real = module.evolve
-            monkeypatch.setattr(module, "evolve",
-                                lambda *args, real=real: calls.append(args) or real(*args))
+        # the whole 10-step time grid goes through one stacked evolve and one
+        # generator stack (the closed form's one call: the test below)
+        counts = {"evolve": 0, "generator_closed_form": 0}
+
+        def count(module, attr):
+            real = getattr(module, attr)
+
+            def counted(*args):
+                counts[attr] += 1
+                return real(*args)
+            monkeypatch.setattr(module, attr, counted)
+
+        for module in (cli, fisher, measure):
+            count(module, "evolve")
+        count(fisher, "generator_closed_form")
         out = tmp_path / "qfi.csv"
         assert main(["qfi", "--config", write_config(tmp_path, base_config()),
                      "--out", str(out), "--quiet"]) == 0
-        assert len(calls) == 1
+        assert counts == {"evolve": 1, "generator_closed_form": 1}
 
-    @pytest.mark.parametrize("doc, probed, calls", [
-        (base_config(), 1, 10),
-        (base_config(probe={"angle": "30deg"}), 1, 1),
-        (base_config(model={"family": "ep_demo", "params": {"alpha": 0.5}}), 1, 1)])
-    def test_closed_form_is_decided_once(self, tmp_path, monkeypatch, doc, probed, calls):
-        # the probe check of the closed form runs once per config; a family
-        # without one, or a probe other than |0>, turns it off for every row
+    @pytest.mark.parametrize("doc, closed", [
+        (base_config(), True),
+        (base_config(probe={"angle": "30deg"}), False),
+        (base_config(model={"family": "ep_demo", "params": {"alpha": 0.5}}), False)])
+    def test_closed_form_is_decided_once(self, tmp_path, monkeypatch, doc, closed):
+        # one closed-form call per config, over every row at once; a family
+        # without one, or a probe other than |0>, leaves every row nan
         seen = []
         real = cli.qfi_closed_form
         monkeypatch.setattr(cli, "qfi_closed_form",
-                            lambda *args: seen.append(args[3] is not None) or real(*args))
+                            lambda *args: seen.append(args[2]) or real(*args))
         out = tmp_path / "qfi.csv"
         assert main(["qfi", "--config", write_config(tmp_path, doc),
                      "--out", str(out), "--quiet"]) == 0
-        assert (sum(seen), len(seen)) == (probed, calls)
+        assert [len(times) for times in seen] == [10]
+        column = [row.split(",")[7] for row in out.read_text().splitlines()[1:]]
+        assert (column.count("nan") == 0) if closed else column == ["nan"] * 10
 
     NEAR_EP_ALPHA = 0.785393  # 5.2e-6 below the ep_demo EP at pi/4
 
@@ -263,7 +274,7 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, module, name", [
-    ("qfi", cli, "qfi_record"), ("qfi", fisher, "evolve"),
+    ("qfi", cli, "qfi_record"), ("qfi", cli, "evolve"),
     ("optimal", cli, "evolve"), ("optimal", measure, "evolve")])
 def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypatch, capsys):
     # a typed error from a stacked call fails all rows of the config, one
@@ -465,14 +476,14 @@ class TestCliEstimate:
 
 class TestCliOptimalAndDilate:
     def test_failed_generator_is_a_failed_row(self, tmp_path, monkeypatch):
-        real = measure.centered_generator_state
+        real = fisher.centered_state
 
         def failing_at_third_point(*args):
-            f = real(*args).copy()
+            f = real(*args)
             f[2] = np.nan  # the third probe's generator state fails
             return f
 
-        monkeypatch.setattr(measure, "centered_generator_state", failing_at_third_point)
+        monkeypatch.setattr(fisher, "centered_state", failing_at_third_point)
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
                    "estimated_param": "alpha"},
@@ -489,18 +500,17 @@ class TestCliOptimalAndDilate:
         assert all("nan" not in row[5] for i, row in enumerate(rows) if i != 2)
 
     def test_optimal_config_evolves_three_times_and_builds_h_once(self, tmp_path, monkeypatch):
-        # For all six probes: one evolution and one generator for phi, f and
-        # sqrtF; two more evolutions, at theta + eps and theta - eps, for the
-        # central-difference precision_ep.
+        # For all six probes: one evolution and one QFI record (one generator)
+        # for phi, f and sqrtF; two more evolutions, at theta + eps and
+        # theta - eps, for the central-difference precision_ep.
         evolves, generators = [], []
         for module in (cli, fisher, measure):
             real = module.evolve
             monkeypatch.setattr(module, "evolve",
                                 lambda *args, real=real: evolves.append(args) or real(*args))
-        for module in (fisher, measure):
-            real = module.generator_closed_form
-            monkeypatch.setattr(module, "generator_closed_form",
-                                lambda *args, real=real: generators.append(args) or real(*args))
+        real = fisher.generator_closed_form
+        monkeypatch.setattr(fisher, "generator_closed_form",
+                            lambda *args: generators.append(args) or real(*args))
         doc = base_config(
             model={"family": "pt", "params": {"s": 1.0, "alpha": math.pi / 10},
                    "estimated_param": "alpha"},
@@ -533,6 +543,18 @@ class TestCliOptimalAndDilate:
         assert float(rows[45.0][i_res]) < 1e-6
         # mid-sweep the measurement carries little signal: well below optimum
         assert 0.0 < float(rows[22.5][i_prec]) < 0.5 * float(rows[0.0][i_prec])
+
+    @pytest.mark.parametrize("name", ["qfi_pt_s", "qfi_pt_alpha", "qfi_kappa"])
+    def test_optimal_sqrt_f_is_the_qfi_sqrt_f(self, tmp_path, name):
+        # both commands read F from the one QFI record: the same text per row
+        config = os.path.join(CONFIG_DIR, f"{name}.json")
+        columns = []
+        for command in ("qfi", "optimal"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 0
+            header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+            columns.append([(row[0], row[header.index("sqrtF")]) for row in rows])
+        assert len(columns[0]) > 1 and columns[0] == columns[1]
 
     def test_dilate(self, tmp_path):
         doc = base_config(time_grid={"start": 0.0, "stop": 4.0, "steps": 10})

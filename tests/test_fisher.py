@@ -246,30 +246,45 @@ class TestQfiStateDerivative:
 
 
 class TestQfiClosedForm:
-    def test_table_sqrt_f_s(self):
+    def test_table_sqrt_f_s(self, ket0):
         m = pt_model(1.0, math.pi / 4, "s")
         for k, expected in enumerate(SQRT_F_S, start=1):
-            assert abs(math.sqrt(qfi_closed_form(m, 1.0, k * math.pi / 8)) - expected) < 1e-3
+            assert abs(math.sqrt(qfi_closed_form(m, 1.0, k * math.pi / 8, ket0)) - expected) < 1e-3
 
-    def test_table_sqrt_f_alpha(self):
+    def test_table_sqrt_f_alpha(self, ket0):
         m = pt_model(1.0, math.pi / 4, "alpha")
         for k, expected in enumerate(SQRT_F_ALPHA, start=2):
-            assert abs(math.sqrt(qfi_closed_form(m, math.pi / 4, k * math.pi / 8)) - expected) < 1e-3
+            F = qfi_closed_form(m, math.pi / 4, k * math.pi / 8, ket0)
+            assert abs(math.sqrt(F) - expected) < 1e-3
 
-    def test_table_sqrt_f_kappa(self):
+    def test_table_sqrt_f_kappa(self, ket0):
         m = kappa_model(2.0)
         for k, expected in enumerate(SQRT_F_KAPPA, start=1):
-            assert abs(math.sqrt(qfi_closed_form(m, 2.0, k * math.pi / 6)) - expected) < 1e-3
+            assert abs(math.sqrt(qfi_closed_form(m, 2.0, k * math.pi / 6, ket0)) - expected) < 1e-3
 
-    def test_zero_at_t0(self):
-        assert abs(qfi_closed_form(pt_model(1.0, math.pi / 4, "alpha"), math.pi / 4, 0.0)) < 1e-12
+    def test_zero_at_t0(self, ket0):
+        m = pt_model(1.0, math.pi / 4, "alpha")
+        assert abs(qfi_closed_form(m, math.pi / 4, 0.0, ket0)) < 1e-12
 
     def test_unsupported(self, ket0):
         with pytest.raises(UnsupportedFamily):
-            qfi_closed_form(ep_demo_model(0.3), 0.3, 1.0)
+            qfi_closed_form(ep_demo_model(0.3), 0.3, 1.0, ket0)
         with pytest.raises(UnsupportedProbe):
-            qfi_closed_form(pt_model(1.0, math.pi / 4), 1.0, 1.0,
-                            psi0=np.array([0.0, 1.0]))
+            qfi_closed_form(pt_model(1.0, math.pi / 4), 1.0, 1.0, np.array([0.0, 1.0]))
+        # the probe is checked before the family, for every t at once
+        with pytest.raises(UnsupportedProbe):
+            qfi_closed_form(ep_demo_model(0.3), 0.3, np.array([]), np.array([0.0, 1.0]))
+
+    def test_time_stack_equals_single_calls(self, ket0):
+        for m, th in [(pt_model(1.0, math.pi / 4, "s"), 1.0),
+                      (pt_model(1.0, math.pi / 4, "alpha"), math.pi / 4),
+                      (kappa_model(2.0), 2.0)]:
+            ts = np.linspace(0.0, 30.0, 17)
+            stacked = qfi_closed_form(m, th, ts, ket0)
+            assert stacked.shape == ts.shape
+            singles = [qfi_closed_form(m, th, t, ket0) for t in ts.tolist()]
+            assert stacked.tobytes() == np.array(singles).tobytes()
+            assert qfi_closed_form(m, th, ts[:0], ket0).shape == (0,)
 
 
 class TestRoutes:
@@ -289,34 +304,39 @@ class TestRoutes:
                           qfi_generator(generator_from_output(m, th, t), phi),
                           qfi_state_derivative(m, th, t, ket0)]
                 if m.family in ("pt", "kappa"):
-                    values.append(qfi_closed_form(m, th, t))
+                    values.append(qfi_closed_form(m, th, t, ket0))
                 scale = max(abs(v) for v in values)
                 if scale > 0:
                     assert (max(values) - min(values)) / scale < 1e-5
 
 
+def record(model, theta, t, psi0):
+    return qfi_record(model, theta, t, evolve(model, theta, t, psi0))
+
+
 class TestRecordAndScaledInfo:
     def test_record_invariants(self, ket0):
-        rec = qfi_record(pt_model(1.0, math.pi / 4, "s"), 1.0, math.pi / 8, ket0)
+        rec = record(pt_model(1.0, math.pi / 4, "s"), 1.0, math.pi / 8, ket0)
         assert rec.F >= -1e-10
         assert abs(rec.I - rec.K * rec.F) < 1e-10 * max(1.0, rec.I)
         assert rec.gap >= 0
+        assert rec.F == 4 * np.vdot(rec.f, rec.f).real
 
     def test_zero_information_at_t0(self, ket0):
-        rec = qfi_record(pt_model(1.0, math.pi / 4, "s"), 1.0, 0.0, ket0)
+        rec = record(pt_model(1.0, math.pi / 4, "s"), 1.0, 0.0, ket0)
         assert abs(rec.I) < 1e-10
 
     def test_hermitian_scaled_equals_plain(self):
         m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        rec = qfi_record(m, 1.0, 1.3, plus)
+        rec = record(m, 1.0, 1.3, plus)
         assert abs(rec.K - 1.0) < 1e-10
         assert abs(rec.I - rec.F) < 1e-10
 
     def test_sqrt_i_grows_with_t(self, ket0):
         m = pt_model(1.0, math.pi / 4, "s")
         ts = np.linspace(math.pi, 10 * math.pi, 25)
-        roots = [math.sqrt(qfi_record(m, 1.0, float(t), ket0).I) for t in ts]
+        roots = [math.sqrt(record(m, 1.0, float(t), ket0).I) for t in ts]
         slope = np.polyfit(ts, roots, 1)[0]
         assert slope > 0
 
@@ -378,12 +398,12 @@ class TestGaugeInvariance:
 
 
 class TestHeisenbergScaling:
-    def test_f_over_t2_bounded(self):
+    def test_f_over_t2_bounded(self, ket0):
         models = [(pt_model(1.0, math.pi / 4, "s"), 1.0),
                   (pt_model(1.0, math.pi / 4, "alpha"), math.pi / 4),
                   (kappa_model(2.0), 2.0)]
         for m, th in models:
             for k in range(3, 8):
                 t = (2 ** k) * math.pi
-                ratio = qfi_closed_form(m, th, t) / (t * t)
+                ratio = qfi_closed_form(m, th, t, ket0) / (t * t)
                 assert 0.2 < ratio < 2.0

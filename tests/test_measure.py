@@ -6,9 +6,8 @@ import pytest
 from nhmetro import linalg, pt_model, kappa_model, custom_model, ep_demo_model
 from nhmetro.dynamics import evolve, expectation
 from nhmetro.errors import NotHermitian, ZeroG
-from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_record
-from nhmetro.measure import (Observable, centered_generator_state,
-                             error_propagation_precision, optimality_residual, sld_operator)
+from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_record, sld_operator
+from nhmetro.measure import Observable, error_propagation_precision, optimality_residual
 
 from conftest import INV_SQRT_F_PROBE, SIGMA_PROBE, T18, probe_state
 from reference import qfi_generator
@@ -32,9 +31,13 @@ def random_points(n, seed):
     return points, rng
 
 
+def record(model, theta, t, psi0):
+    return qfi_record(model, theta, t, evolve(model, theta, t, psi0))
+
+
 def residual(model, theta, t, psi0, A):
-    phi = evolve(model, theta, t, psi0).phi_out
-    return optimality_residual(phi, centered_generator_state(model, theta, t, phi), A)
+    res = evolve(model, theta, t, psi0)
+    return optimality_residual(res.phi_out, qfi_record(model, theta, t, res).f, A)
 
 
 def precision_at(model, theta, t, psi0, A):
@@ -158,6 +161,16 @@ class TestOptimalityResidual:
         assert np.isnan([rep.residual, rep.c, rep.c_imag_fraction]).all()
         assert isinstance(rep.failures[0], ZeroG)
 
+    @pytest.mark.filterwarnings("error")
+    def test_near_zero_g_is_silent(self, proj0):
+        # g = (A - <A>) phi of norm 1e-160: the fit's c overflows, and the
+        # row is a ZeroG nan row with no NumPy warning
+        phi = np.array([1.0, 1e-160], dtype=complex)
+        for f in (np.array([0.0, 1.0], dtype=complex), np.array([1.0, 1.0], dtype=complex)):
+            rep = optimality_residual(phi, f, Observable(proj0, "P0"))
+            assert np.isnan([rep.residual, rep.c, rep.c_imag_fraction]).all()
+            assert isinstance(rep.failures[0], ZeroG)
+
     def test_residual_range(self, proj0):
         rng = np.random.default_rng(29)
         m = pt_model(1.0, ALPHA10, "alpha")
@@ -214,7 +227,7 @@ class TestQcrbRelations:
         points, rng = random_points(300, 43)
         saturating = 0
         for model, theta, t, psi0 in points:
-            sqrt_f = math.sqrt(qfi_record(model, theta, t, psi0).F)
+            sqrt_f = math.sqrt(record(model, theta, t, psi0).F)
             for _ in range(2):
                 A = random_hermitian(rng)
                 prec = exact_precision(model, theta, t, psi0, A)
@@ -256,7 +269,7 @@ class TestSldOperator:
             f = qfi_generator(generator_quadrature(m, th, t), phi)
             assert abs(np.trace(rho @ L @ L).real - f) / f < 1e-12
         for m, th, t, psi0 in random_points(300, 47)[0]:
-            F = qfi_record(m, th, t, psi0).F
+            F = record(m, th, t, psi0).F
             L = sld_operator(m, th, t, psi0)
             rho = linalg.projector(evolve(m, th, t, psi0).phi_out)
             assert abs(np.trace(rho @ L @ L).real - F) <= 1e-14 * F

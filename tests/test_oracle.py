@@ -19,6 +19,7 @@ import pytest
 
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dilation import build_dilation, evolve_dilated
+from nhmetro.dynamics import evolve
 from nhmetro.fisher import (output_derivative, qfi_closed_form, qfi_record,
                             qfi_state_derivative)
 from nhmetro.models import d_hamiltonian, hamiltonian
@@ -135,7 +136,7 @@ def test_both_routes_keep_relative_accuracy_as_t_goes_to_0(family):
         model, theta = family_points(family, rng)
         for t in SMALL_TIMES:
             exact = float(closed_form_oracle(model, t))
-            for got in (qfi_record(model, theta, t, ket0).F,
+            for got in (qfi_record(model, theta, t, evolve(model, theta, t, ket0)).F,
                         qfi_state_derivative(model, theta, t, ket0)):
                 assert abs(got - exact) <= SMALL_T_REL_TOL * exact, (theta, t)
 

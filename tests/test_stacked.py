@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.config import probe_from_angle
 from nhmetro.dynamics import evolve
-from nhmetro.fisher import (generator_closed_form, qfi_centered, qfi_record,
-                            qfi_state_derivative)
-from nhmetro.measure import (Observable, centered_generator_state,
-                             error_propagation_precision, optimality_residual)
+from nhmetro.fisher import generator_closed_form, qfi_record, qfi_state_derivative
+from nhmetro.measure import Observable, error_propagation_precision, optimality_residual
 
 EP_ALPHA = math.pi / 4
 
@@ -66,6 +64,16 @@ def same_bytes(stacked, singles):
     return np.asarray(stacked).tobytes() == np.array(singles).tobytes()
 
 
+def record(model, theta, t, psi0):
+    return qfi_record(model, theta, t, evolve(model, theta, t, psi0))
+
+
+def assert_same_records(stacked, singles):
+    for field in ("f", "F", "K", "I", "gap"):
+        assert same_bytes(getattr(stacked, field), [getattr(r, field) for r in singles])
+    assert [str(f) for f in stacked.failures] == [str(r.failures[0]) for r in singles]
+
+
 @settings(max_examples=60, deadline=None)
 @given(point=models(), times=TIMES)
 def test_generator_stack(point, times):
@@ -79,11 +87,19 @@ def test_generator_stack(point, times):
 @given(point=models(), times=TIMES, probe=probes())
 def test_qfi_record_stack(point, times, probe):
     model, theta = point
-    stacked = qfi_record(model, theta, np.array(times), probe)
-    singles = [qfi_record(model, theta, t, probe) for t in times]
-    for field in ("F", "K", "I", "gap"):
-        assert same_bytes(getattr(stacked, field), [getattr(r, field) for r in singles])
-    assert [str(f) for f in stacked.failures] == [str(r.failures[0]) for r in singles]
+    assert_same_records(record(model, theta, np.array(times), probe),
+                        [record(model, theta, t, probe) for t in times])
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=models(), t=st.just(0.0) | st.floats(0.0, 50.0),
+       stack=st.lists(probes(), min_size=1, max_size=12))
+def test_qfi_record_probe_stack(point, t, stack):
+    # the probes share one h: f, F, K, I and gap of each are those of its own call
+    model, theta = point
+    stacked = record(model, theta, t, np.array(stack))
+    assert np.shape(stacked.gap) == (len(stack),)
+    assert_same_records(stacked, [record(model, theta, t, probe) for probe in stack])
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,11 +123,11 @@ def test_evolve_probe_stack(point, t, stack):
 
 def measure_stack(model, theta, t, probes_, A):
     """(f, F, report, precision) of a stack of points, as cmd_optimal takes them."""
-    phi = evolve(model, theta, t, probes_).phi_out
-    f = centered_generator_state(model, theta, t, phi)
-    report = optimality_residual(phi, f, A)
-    return (f, qfi_centered(f)[0], report,
-            error_propagation_precision(model, theta, t, probes_, phi, A))
+    res = evolve(model, theta, t, probes_)
+    rec = qfi_record(model, theta, t, res)
+    report = optimality_residual(res.phi_out, rec.f, A)
+    return (rec.f, rec.F, report,
+            error_propagation_precision(model, theta, t, probes_, res.phi_out, A))
 
 
 def assert_same_points(stacked, singles):
