@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import sys
 from dataclasses import replace
@@ -72,12 +71,27 @@ def _csv_rows(path, header):
         yield write
 
 
-def _route_deviation(values) -> float:
-    values = [v for v in values if v is not None]
-    scale = max(abs(v) for v in values)
-    if scale == 0.0:
-        return 0.0
-    return (max(values) - min(values)) / scale
+def _write_table(out_path, header, values, columns, failures, log, notes=None) -> bool:
+    """Write one row per sweep value: the value, then its cells of `columns`
+    (one array over the values each), or nan cells where failures[i] is set.
+    A failed row logs `name=value: <failure>`; any other row logs
+    `name=value: <note>` where notes[i] is set, and keeps its cells. Returns
+    whether any row failed."""
+    name, blank = header[0], [None] * (len(header) - 1)
+    cells = np.transpose(columns).tolist()
+    notes = notes or (None,) * len(values)
+    rows = []
+    with _csv_rows(out_path, header) as write:
+        for i, value in enumerate(values):
+            if failures[i] is not None:
+                log(f"{name}={value}: {failures[i]}")
+                rows.append(_row([value, *blank]))
+                continue
+            if notes[i] is not None:
+                log(f"{name}={value}: {notes[i]}")
+            rows.append(_row([value, *cells[i]]))
+        write("".join(rows))
+    return any(failure is not None for failure in failures)
 
 
 def _sweep(cfg: ExperimentConfig):
@@ -108,40 +122,34 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
         raise ConfigError("probe_sweep", "qfi sweeps time only")
     theta = cfg.model.true_value
     times = cfg.time_grid.linspace()
+    header = ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap", "F_closed_form", "route_deviation"]
     try:
         rec = qfi_record(cfg.model, theta, times, evolve(cfg.model, theta, times, cfg.probe))
-        failures = rec.failures
     except NumericsError as exc:
-        failures = (exc,) * len(times)
-    ok = np.array([failure is None for failure in failures])
-    # Cross-checks of the rows that did not fail: a failure blanks their
-    # route_deviation, not the rows; a closed form that does not apply
-    # (family, or a probe other than |0>) leaves F_closed_form nan.
-    cross_failure = None
+        _write_table(out_path, header, times.tolist(), (), (exc,) * len(times), log)
+        return EXIT_PARTIAL
+    ok = np.array([failure is None for failure in rec.failures])
+    # Production F, state derivative and closed form, nan where a route is
+    # absent: a failing cross-check blanks route_deviation, not the rows; a
+    # closed form that does not apply (family, or a probe other than |0>)
+    # leaves F_closed_form nan.
+    routes = np.full((3, len(times)), np.nan)
+    routes[0] = rec.F
+    notes = None
     try:
-        f_state = iter(qfi_state_derivative(cfg.model, theta, times[ok], cfg.probe))
+        routes[1, ok] = qfi_state_derivative(cfg.model, theta, times[ok], cfg.probe)
     except NumericsError as exc:
-        cross_failure = exc
-    try:
-        f_closed = iter(qfi_closed_form(cfg.model, theta, times[ok], cfg.probe))
-    except (UnsupportedFamily, UnsupportedProbe):
-        f_closed = itertools.repeat(None)
-    with _csv_rows(out_path, ["t", "F", "sqrtF", "K", "I", "sqrtI", "gap",
-                              "F_closed_form", "route_deviation"]) as write:
-        for i, t in enumerate(times):
-            if failures[i] is not None:
-                log(f"t={t}: {failures[i]}")
-                write(_row([t, None, None, None, None, None, None, None, None]))
-                continue
-            closed = next(f_closed)
-            deviation = None
-            if cross_failure is None:
-                deviation = _route_deviation([rec.F[i], next(f_state), closed])
-            else:
-                log(f"t={t}: cross-check {cross_failure}")
-            write(_row([t, rec.F[i], math.sqrt(rec.F[i]), rec.K[i], rec.I[i], math.sqrt(rec.I[i]),
-                        rec.gap[i], closed, deviation]))
-    return EXIT_OK if ok.all() else EXIT_PARTIAL
+        notes = (f"cross-check {exc}",) * len(times)
+    with contextlib.suppress(UnsupportedFamily, UnsupportedProbe):
+        routes[2, ok] = qfi_closed_form(cfg.model, theta, times[ok], cfg.probe)
+    deviation = np.full(len(times), np.nan)
+    if notes is None:
+        spread = np.nanmax(routes[:, ok], axis=0) - np.nanmin(routes[:, ok], axis=0)
+        scale = np.nanmax(abs(routes[:, ok]), axis=0)
+        deviation[ok] = np.where(scale == 0.0, 0.0, spread / scale)
+    columns = [rec.F, np.sqrt(rec.F), rec.K, rec.I, np.sqrt(rec.I), rec.gap, routes[2], deviation]
+    failed = _write_table(out_path, header, times.tolist(), columns, rec.failures, log, notes)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
@@ -192,32 +200,22 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         observable = measure.Observable(cfg.measurement, "configured")
     except NotHermitian as exc:
         raise ConfigError("measurement.matrix", f"optimal needs a Hermitian observable: {exc}")
+    header = [sweep_name, "residual", "c_real", "c_imag_fraction", "precision_ep", "sqrtF"]
     try:
         res = evolve(cfg.model, theta, t, probes)
         rec = qfi_record(cfg.model, theta, t, res)
-        failures = rec.failures
         report = measure.optimality_residual(res.phi_out, rec.f, observable)
         # nan where degenerate: flagged, not dropped, as the paper's own
         # tables have blank entries at probability extrema
         precision = measure.error_propagation_precision(cfg.model, theta, t, probes,
                                                         res.phi_out, observable)
     except NumericsError as exc:
-        failures = (exc,) * len(values)
-    partial = False
-    with _csv_rows(out_path, [sweep_name, "residual", "c_real", "c_imag_fraction",
-                              "precision_ep", "sqrtF"]) as write:
-        for i, sweep_value in enumerate(values):
-            if failures[i] is not None:
-                log(f"{sweep_name}={sweep_value}: {failures[i]}")
-                write(_row([sweep_value, None, None, None, None, None]))
-                partial = True
-                continue
-            if report.failures[i] is not None:
-                log(f"{sweep_name}={sweep_value}: {report.failures[i]}")
-                partial = True
-            write(_row([sweep_value, report.residual[i], report.c[i].real,
-                        report.c_imag_fraction[i], precision[i], math.sqrt(rec.F[i])]))
-    return EXIT_PARTIAL if partial else EXIT_OK
+        _write_table(out_path, header, values, (), (exc,) * len(values), log)
+        return EXIT_PARTIAL
+    columns = [report.residual, report.c.real, report.c_imag_fraction, precision, np.sqrt(rec.F)]
+    failed = _write_table(out_path, header, values, columns, rec.failures, log, report.failures)
+    zero_g = any(failure is not None for failure in report.failures)
+    return EXIT_PARTIAL if failed or zero_g else EXIT_OK
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:

@@ -13,7 +13,9 @@ take one t or a 1-D array of t; `qfi_record` takes an `evolve` result (also
 a probe stack at one t) and gives the one f = (h - <h>) phi and F that every
 caller reads. Each point of a stack gets the bits of a single call. A row
 that fails is carried as nan in the stacked result, with its typed error in
-the row's `failures` entry, so one bad t never stops the others.
+the row's `failures` entry, so one bad t never stops the others, with one
+exception: a t whose ||Ht|| overflows makes `mat_exp` raise NonFinite for the
+whole stack, so every row of that stack fails with it.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def _sinc(x: complex) -> complex:
 
 def _coefficients(w: complex, t: float) -> tuple:
     """(a, i b, d) of generator_closed_form at one t, in scalar cmath
-    arithmetic: NumPy's complex sin and division round differently. All
-    three are nan where one overflows (a huge t or w)."""
+    arithmetic: NumPy's complex division and complex products round
+    differently from CPython's. All three are nan where one overflows (a
+    huge t or w)."""
     try:
         a = 0.5 * t * (1.0 + _sinc(2 * w * t))
         ib = 1j * (0.5 * t * t * _sinc(w * t) ** 2)
@@ -189,39 +192,32 @@ def qfi_state_derivative(model: HamiltonianModel, theta: float, t, psi0):
 KET0_TOL = 1e-12
 
 
-def _closed_form_at(model: HamiltonianModel, theta: float, t: float) -> float:
+def qfi_closed_form(model: HamiltonianModel, theta: float, t, psi0):
+    """The catalog families' analytic QFI for the probe |0> only, at one t or
+    each t of a 1-D array, with the probe checked once."""
+    psi0 = check_normalized(psi0)
+    if abs(psi0[0] - 1.0) > KET0_TOL or np.linalg.norm(psi0[1:]) > KET0_TOL:
+        raise UnsupportedProbe("closed-form QFI expressions require the probe |0>")
+    t = np.asarray(t, dtype=float)
     if model.family == "pt":
         p = model.bound_params(theta)
         s, alpha = p["s"], p["alpha"]
         if model.estimated_param == "s":
             num = 4 * t * t * math.cos(alpha) ** 4
-            den = (-1 + math.sin(alpha) * math.sin(alpha - 2 * s * t * math.cos(alpha))) ** 2
+            den = (-1 + math.sin(alpha) * np.sin(alpha - 2 * s * t * math.cos(alpha))) ** 2
             return num / den
         sec = 1.0 / math.cos(alpha)
         x = alpha - 2 * s * t * math.cos(alpha)
-        num = 1 - sec * math.cos(x) + 2 * s * t * math.sin(alpha)
-        den = sec - math.sin(x) * math.tan(alpha)
+        num = 1 - sec * np.cos(x) + 2 * s * t * math.sin(alpha)
+        den = sec - np.sin(x) * math.tan(alpha)
         return (num / den) ** 2
     if model.family == "kappa":
         kappa = model.bound_params(theta)["kappa"]
-        rk = math.sqrt(kappa)
-        x = t * rk
-        num = (-2 * x + math.sin(2 * x)) ** 2
-        den = 4 * kappa * (kappa * math.cos(x) ** 2 + math.sin(x) ** 2) ** 2
+        x = t * math.sqrt(kappa)
+        num = (-2 * x + np.sin(2 * x)) ** 2
+        den = 4 * kappa * (kappa * np.cos(x) ** 2 + np.sin(x) ** 2) ** 2
         return num / den
     raise UnsupportedFamily(f"no closed-form QFI for family {model.family!r}")
-
-
-def qfi_closed_form(model: HamiltonianModel, theta: float, t, psi0):
-    """The catalog families' analytic QFI for the probe |0> only, at one t or
-    each t of a 1-D array: the probe is checked once, and each t gets the
-    bits of a single call (scalar `math` code per t)."""
-    psi0 = check_normalized(psi0)
-    if abs(psi0[0] - 1.0) > KET0_TOL or np.linalg.norm(psi0[1:]) > KET0_TOL:
-        raise UnsupportedProbe("closed-form QFI expressions require the probe |0>")
-    times = np.asarray(t, dtype=float)
-    return np.reshape([_closed_form_at(model, theta, tk) for tk in times.ravel().tolist()],
-                      times.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -239,23 +235,23 @@ class QFIRecord:
     failures: tuple
 
 
-def eigen_gap(h) -> float:
-    """|lambda_1 - lambda_2| of a 2x2 matrix, 2|sqrt(((h00 - h11)/2)^2 + h01 h10)|:
-    no eigenvectors, and exactly 0 at a defective h."""
-    half = 0.5 * (h[0, 0] - h[1, 1])
-    return 2 * abs(cmath.sqrt(half * half + h[0, 1] * h[1, 0]))
+def eigen_gap(h):
+    """|lambda_1 - lambda_2| of a 2x2 matrix or of each of a stack (..., 2, 2),
+    2|sqrt(((h00 - h11)/2)^2 + h01 h10)|: no eigenvectors, and exactly 0 at a
+    defective h."""
+    half = 0.5 * (h[..., 0, 0] - h[..., 1, 1])
+    root = np.sqrt(half * half + h[..., 0, 1] * h[..., 1, 0])
+    return 2 * np.hypot(root.real, root.imag)
 
 
 def qfi_record(model: HamiltonianModel, theta: float, t, res: EvolutionResult) -> QFIRecord:
     """The QFIRecord of res = evolve(model, theta, t, psi0) from one generator
-    stack (a probe stack shares one h). eigen_gap stays per h (NumPy's array
-    sqrt and abs would round the gap differently); a failed point gets none."""
+    stack (a probe stack shares one h); a failed point gets no gap."""
     h = generator_closed_form(model, theta, t)
     f = centered_state(h, check_normalized(res.phi_out))
     F, failures = qfi_centered(f)
     failed = np.reshape([failure is not None for failure in failures], np.shape(F))
-    gap = np.reshape([eigen_gap(hk) for hk in h.reshape(-1, 2, 2)], h.shape[:-2])
-    return QFIRecord(f=f, F=F, K=res.K, I=res.K * F, gap=np.where(failed, np.nan, gap)[()],
+    return QFIRecord(f=f, F=F, K=res.K, I=res.K * F, gap=np.where(failed, np.nan, eigen_gap(h))[()],
                      failures=failures)
 
 

@@ -88,8 +88,10 @@ def mat_exp(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim == 3:
         return _mat_exp_stack(a)
-    # Kept for speed: one 2x2 takes 76-120 us here and 128-164 us as a stack of
-    # one (2-CPU Xeon VM); qfi_sweep makes two such calls a row, mle_sweep stacks.
+    # Kept for speed: one 2x2 takes 66-75 us here and 100-147 us as a stack of
+    # one (timeit, 2-CPU Xeon VM). Its callers: cmd_estimate's p0 evolve, once
+    # per sweep point; cmd_optimal's three evolves per probe-sweep config; the
+    # test-only generator_quadrature, twice per node.
     a = as_matrix(a)
     check_finite(a, "mat_exp input")
     squarings = int(_squarings(a))

@@ -1,5 +1,6 @@
 """Closed-form and per-vector references that only the tests use."""
 
+import cmath
 import math
 
 import numpy as np
@@ -112,3 +113,34 @@ def qfi_generator(h, phi) -> float:
     if failure is not None:
         raise failure
     return float(F)
+
+
+def eigen_gap_cmath(h) -> float:
+    """2|sqrt(((h00 - h11)/2)^2 + h01 h10)| of one 2x2 matrix in scalar cmath
+    arithmetic: the per-h gap that `fisher.eigen_gap` computes over a stack."""
+    half = 0.5 * (h[0, 0] - h[1, 1])
+    return 2 * abs(cmath.sqrt(half * half + h[0, 1] * h[1, 0]))
+
+
+def closed_form_qfi_at(model: HamiltonianModel, theta: float, t: float) -> float:
+    """The probe-|0> closed-form QFI of the pt and kappa families at one t in
+    scalar `math` code: the per-t form of `fisher.qfi_closed_form`."""
+    if model.family == "pt":
+        p = model.bound_params(theta)
+        s, alpha = p["s"], p["alpha"]
+        if model.estimated_param == "s":
+            num = 4 * t * t * math.cos(alpha) ** 4
+            den = (-1 + math.sin(alpha) * math.sin(alpha - 2 * s * t * math.cos(alpha))) ** 2
+            return num / den
+        sec = 1.0 / math.cos(alpha)
+        x = alpha - 2 * s * t * math.cos(alpha)
+        num = 1 - sec * math.cos(x) + 2 * s * t * math.sin(alpha)
+        den = sec - math.sin(x) * math.tan(alpha)
+        return (num / den) ** 2
+    if model.family == "kappa":
+        kappa = model.bound_params(theta)["kappa"]
+        x = t * math.sqrt(kappa)
+        num = (-2 * x + math.sin(2 * x)) ** 2
+        den = 4 * kappa * (kappa * math.cos(x) ** 2 + math.sin(x) ** 2) ** 2
+        return num / den
+    raise UnsupportedFamily(f"no closed-form QFI for family {model.family!r}")

@@ -234,6 +234,31 @@ class TestCliQfi:
         assert [line for line in err.splitlines() if "QFI imaginary residue" in line] == [
             "t=5e+99: QFI imaginary residue nan", "t=1e+100: QFI imaginary residue nan"]
 
+    @pytest.mark.parametrize("cross_check_fails", [False, True])
+    def test_failed_row_and_failed_cross_check(self, tmp_path, capsys, monkeypatch,
+                                               cross_check_fails):
+        # the failed row logs only its failure and is nan throughout; the other
+        # row logs nothing, or the failed cross-check and keeps every column
+        # but route_deviation
+        def failing(*args):
+            raise OutOfRange("theta + eps is past the EP")
+
+        if cross_check_fails:
+            monkeypatch.setattr(cli, "qfi_state_derivative", failing)
+        doc = shipped_config("qfi_pt_s.json")
+        doc["time_grid"] = {"start": 1.0, "stop": 5e99, "steps": 2}
+        out = tmp_path / "mixed.csv"
+        assert main(["qfi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert out.read_text() == (
+            "t,F,sqrtF,K,I,sqrtI,gap,F_closed_form,route_deviation\n"
+            "1,0.498801799358,0.706259017187,2.83182225123,1.41251803437,1.18849401949,"
+            "1.41421356237,0.498801799358," + ("nan" if cross_check_fails else "1.78062392887e-15")
+            + "\n5e+99,nan,nan,nan,nan,nan,nan,nan,nan\n")
+        assert capsys.readouterr().err.splitlines() == [
+            *["t=1.0: cross-check theta + eps is past the EP"] * cross_check_fails,
+            "t=5e+99: QFI imaginary residue nan",
+            "completed with failed rows (exit 3)"]
+
 
 # (command, config overrides, the failed row's sweep value) where a
 # coefficient of the closed-form generator overflows, and before it the

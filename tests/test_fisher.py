@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import fisher, linalg, pt_model, kappa_model, ep_demo_model, custom_model
 from nhmetro.dynamics import evolve
@@ -15,7 +16,7 @@ from nhmetro.models import d_hamiltonian, hamiltonian
 
 from conftest import (SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, gauge_deviation,
                       generator_from_output, real_spectrum_hamiltonians)
-from reference import qfi_generator
+from reference import closed_form_qfi_at, eigen_gap_cmath, qfi_generator
 
 
 def h_alpha_closed_form(s, alpha, t):
@@ -354,12 +355,15 @@ class TestEigenGap:
         assert abs(fisher.eigen_gap(H) - 2 * math.sqrt(2)) < 1e-12
 
     def test_matches_eigvals(self):
-        # measured: 7.1e-16 ||a|| at most
+        # measured: 7.1e-16 ||a|| at most from eigvals; NumPy's complex products
+        # round differently from CPython's in about 9 of 100 random a, which
+        # moves the gap by 5.1e-16 ||a|| at most over 100,000 a
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        stack = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+        for a, gap in zip(stack, fisher.eigen_gap(stack)):
             lam = np.linalg.eigvals(a)
-            assert abs(fisher.eigen_gap(a) - abs(lam[0] - lam[1])) <= 1e-13 * np.linalg.norm(a)
+            assert abs(gap - abs(lam[0] - lam[1])) <= 1e-13 * np.linalg.norm(a)
+            assert abs(gap - eigen_gap_cmath(a)) <= 1e-15 * np.linalg.norm(a)
 
     def test_jordan_block_is_exactly_zero(self):
         # A similar of the 2x2 Jordan block: eigvals splits its double
@@ -377,6 +381,48 @@ def test_gap_matches_eigvals(H):
     # measured: 9.7e-15 ||H|| at most over 5,000 examples
     lam = np.linalg.eigvals(H)
     assert abs(fisher.eigen_gap(H) - abs(lam[0] - lam[1])) <= 1e-13 * np.linalg.norm(H)
+
+
+# complex entries on a 1e-6 grid, so no product underflows
+GRID_COMPLEX = st.builds(complex, *[st.floats(-10.0, 10.0).map(lambda x: round(x, 6))] * 2)
+MATRICES = st.lists(GRID_COMPLEX, min_size=4, max_size=4).map(
+    lambda v: np.array(v).reshape(2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=st.lists(MATRICES, min_size=1, max_size=8))
+def test_gap_stack_matches_cmath(stack):
+    # Next to a defective h the radicand cancels, and its square root turns
+    # one rounding of a product into up to 2e-8 ||h|| of gap; gap^2 = 4|radicand|
+    # does not amplify it (measured: 1.2e-15 ||h||^2 at most over 100,000 h).
+    h = np.array(stack)
+    for hk, gap in zip(h, fisher.eigen_gap(h)):
+        reference = eigen_gap_cmath(hk)
+        assert abs(gap * gap - reference * reference) <= 4e-15 * np.linalg.norm(hk) ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=GRID_COMPLEX, b=GRID_COMPLEX, lower=st.booleans(), other=MATRICES)
+def test_gap_is_exactly_zero_at_a_defective_h(a, b, lower, other):
+    h = np.array([[a, 0], [b, a]] if lower else [[a, b], [0, a]])
+    assert fisher.eigen_gap(h) == 0.0
+    assert fisher.eigen_gap(np.array([other, h]))[1] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["pt-s", "pt-alpha", "kappa"]), s=st.floats(0.1, 3.0),
+       alpha=st.floats(0.05, math.pi / 2 - 0.05),
+       kappa=st.floats(0.05, 10.0).filter(lambda k: abs(k - 1.0) > 1e-3),
+       times=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=16))
+def test_closed_form_stack_matches_per_t_math(family, s, alpha, kappa, times):
+    # NumPy's array square and libm's pow round ** 2 differently; measured:
+    # 48 of 30,000 points moved, by 2.1 ulp at most
+    model, theta = {"pt-s": (pt_model(s, alpha, "s"), s),
+                    "pt-alpha": (pt_model(s, alpha, "alpha"), alpha),
+                    "kappa": (kappa_model(kappa), kappa)}[family]
+    F = qfi_closed_form(model, theta, np.array(times), linalg.basis_state(0))
+    reference = np.array([closed_form_qfi_at(model, theta, t) for t in times])
+    assert np.all(abs(F - reference) <= 8 * np.finfo(float).eps * abs(reference))
 
 
 class TestGaugeInvariance:
