@@ -170,10 +170,8 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
             p0 = None
             try:
                 p0 = outcome_probability(evolve(cfg.model, theta, t, probe).phi_out, A)
-                # one bracket for the whole sweep, or one per point
-                bracket = spec.bracket[idx if len(spec.bracket) > 1 else 0]
                 run = run_trials(cfg.model, t, probe, A, p0, spec.n, spec.trials,
-                                 spec.seed, bracket)
+                                 spec.seed, spec.bracket[idx])
                 if run.non_monotone_scan:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")

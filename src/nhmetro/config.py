@@ -53,7 +53,7 @@ class EstimationSpec:
     n: int
     trials: int
     seed: int
-    # Either one (lo, hi) pair for the whole sweep, or one pair per grid point.
+    # One (lo, hi) pair per sweep point; a single configured pair is repeated.
     bracket: tuple
 
 
@@ -205,7 +205,7 @@ def _parse_bracket(value, n_points) -> tuple:
             raise ConfigError("estimation.bracket",
                               f"per-point bracket list has {len(value)} entries for {n_points} grid points")
         return tuple(pair(v, f"estimation.bracket[{i}]") for i, v in enumerate(value))
-    return (pair(value, "estimation.bracket"),)
+    return (pair(value, "estimation.bracket"),) * n_points
 
 
 def _parse_estimation(doc, n_points) -> EstimationSpec:

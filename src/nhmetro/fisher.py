@@ -60,8 +60,10 @@ def _sinc(x: complex) -> complex:
 def _coefficients(w: complex, t: float) -> tuple:
     """(a, i b, d) of generator_closed_form at one t, in scalar cmath
     arithmetic: NumPy's complex division and complex products round
-    differently from CPython's. All three are nan where one overflows (a
-    huge t or w)."""
+    differently from CPython's. An array version over t moves 4 golden
+    digests and took 142-179 us against 39-65 us for this loop (2-CPU Intel
+    Xeon VM, NumPy 2.4.6). All three are nan where one overflows (a huge t
+    or w)."""
     try:
         a = 0.5 * t * (1.0 + _sinc(2 * w * t))
         ib = 1j * (0.5 * t * t * _sinc(w * t) ** 2)
@@ -149,7 +151,8 @@ def centered_state(h, phi) -> np.ndarray:
     state or a stack (..., 2), or a stack of h (N, 2, 2) with one state each.
     F = 4<f|f> is the generalized variance 4(<h^dag h> - <h^dag><h>) with no
     difference of nearly equal terms, so F keeps its relative accuracy as
-    t -> 0. measure takes g = (A - <A>) phi of an observable A from here too."""
+    t -> 0. measure takes g = (A - <A>) phi from here too: Var A = ||g||^2 in
+    error_propagation_precision, and the fit of f on g in optimality_residual."""
     hphi = (h @ phi[..., None])[..., 0]
     return hphi - np.vecdot(phi, hphi)[..., None] * phi
 
@@ -250,8 +253,7 @@ def qfi_record(model: HamiltonianModel, theta: float, t, res: EvolutionResult) -
     h = generator_closed_form(model, theta, t)
     f = centered_state(h, check_normalized(res.phi_out))
     F, failures = qfi_centered(f)
-    failed = np.reshape([failure is not None for failure in failures], np.shape(F))
-    return QFIRecord(f=f, F=F, K=res.K, I=res.K * F, gap=np.where(failed, np.nan, eigen_gap(h))[()],
+    return QFIRecord(f=f, F=F, K=res.K, I=res.K * F, gap=np.where(np.isnan(F), np.nan, eigen_gap(h))[()],
                      failures=failures)
 
 

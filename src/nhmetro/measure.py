@@ -26,7 +26,6 @@ from .models import HamiltonianModel
 
 HERMITICITY_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
-ZERO_G_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,24 +56,19 @@ class OptimalityReport:
     failures: tuple
 
 
-def _squared(x):
-    """x ** 2 of each value as a NumPy float64 scalar, which squares by libm
-    pow: the array square x * x rounds differently in about 1 of 1,000 values."""
-    return np.reshape([v ** 2 for v in np.ravel(x)], np.shape(x))
-
-
 def error_propagation_precision(model: HamiltonianModel, theta: float, t, psi0, phi,
                                 A: Observable):
     """Single-shot precision 1/(Delta theta) from the error-propagation formula,
-    with d<A>/dtheta as a central difference, at each point of psi0 and its
-    output state phi at theta (the caller's; only theta +- eps are evolved).
-    nan where the slope is at most DEGENERATE_TOL or the variance of A at
-    most its square: the measurement carries no first-order information."""
+    with d<A>/dtheta as a central difference and Var A = ||g||^2, g = (A - <A>)
+    phi, at each point of psi0 and its output state phi at theta (the caller's;
+    only theta +- eps are evolved). nan only where the slope or ||g|| (A acts
+    trivially: the ZeroG of optimality_residual) is at most DEGENERATE_TOL."""
     eps = 1e-5 * max(1.0, abs(theta))
     plus = expectation(evolve(model, theta + eps, t, psi0).phi_out, A.A)
     minus = expectation(evolve(model, theta - eps, t, psi0).phi_out, A.A)
     slope = (plus - minus) / (2 * eps)
-    var = expectation(phi, A.A @ A.A) - _squared(expectation(phi, A.A))
+    g = centered_state(A.A, phi)
+    var = np.vecdot(g, g).real
     degenerate = (abs(slope) <= DEGENERATE_TOL) | (var <= DEGENERATE_TOL ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(degenerate, np.nan, abs(slope) / np.sqrt(var))[()]
@@ -85,7 +79,7 @@ def optimality_residual(phi, f, A: Observable) -> OptimalityReport:
     phi, with f = (h - <h>) phi from fisher.qfi_record and g = (A - <A>) phi."""
     g = centered_state(A.A, phi)
     g_norm2 = np.vecdot(g, g).real
-    zero_g = g_norm2 <= ZERO_G_TOL ** 2
+    zero_g = g_norm2 <= DEGENERATE_TOL ** 2
     f_norm = linalg.norms(f)
     # a near-zero g can overflow c; its row is flagged ZeroG
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

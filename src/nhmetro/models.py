@@ -90,20 +90,13 @@ def _check_ep_demo(alpha):
                   "ep_demo family requires 0 < alpha < pi/4, got {}"))
 
 
-def _trig(func, x: np.ndarray) -> np.ndarray:
-    """math.sin or math.cos of each entry of x: np.sin and np.cos may round
-    differently."""
-    return np.array([func(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
     """H(theta) for one theta (2, 2) or for each theta of a 1-D array (N, 2, 2).
 
-    Each matrix of a stack equals the single call bit for bit. Only the
-    scalar trig (math.sin, math.cos) and a custom h_func run per theta; the
-    range check, the matrix assembly and the pt product s * (...) are one
-    array step. A range error names the first theta out of range, in the
-    text of the single call.
+    Each matrix of a stack equals the single call bit for bit. Only a custom
+    h_func runs per theta; the range check, the trig (np.sin, np.cos), the
+    matrix assembly and the pt product s * (...) are one array step. A range
+    error names the first theta out of range, in the text of the single call.
     """
     thetas = np.asarray(theta, dtype=float)
     if model.family == "custom":
@@ -122,12 +115,11 @@ def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
         _check_pt(p["s"], p["alpha"])
     else:
         _check_ep_demo(p["alpha"])
-    alpha = np.asarray(p["alpha"])
-    sin = _trig(math.sin, alpha)
+    sin = np.sin(p["alpha"])
     H[..., 0, 0].imag = sin
     H[..., 1, 1].imag = -sin
     if model.family == "ep_demo":
-        H[..., 0, 1] = H[..., 1, 0] = _trig(math.cos, alpha)
+        H[..., 0, 1] = H[..., 1, 0] = np.cos(p["alpha"])
         return H
     H[..., 0, 1] = H[..., 1, 0] = 1.0
     # a complex product, rounded as the scalar s times a complex matrix

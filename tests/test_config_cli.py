@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bracket"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("bracket", [[0.5, 1.5], [[0.5, 1.5]] * 10])
+    def test_bracket_is_one_pair_per_point(self, bracket):
+        doc = base_config(estimation={"n": 100, "trials": 5, "seed": 1, "bracket": bracket})
+        assert parse_config(doc).estimation.bracket == ((0.5, 1.5),) * 10
+
     def test_bad_angle_string(self):
         with pytest.raises(ConfigError, match="probe.angle"):
             parse_config(base_config(probe={"angle": "18 degrees"}))

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhmetro import linalg, pt_model, kappa_model, custom_model, ep_demo_model
 from nhmetro.dynamics import evolve, expectation
 from nhmetro.errors import NotHermitian, ZeroG
 from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_record, sld_operator
-from nhmetro.measure import Observable, error_propagation_precision, optimality_residual
+from nhmetro.measure import (DEGENERATE_TOL, Observable, error_propagation_precision,
+                             optimality_residual)
 
 from conftest import INV_SQRT_F_PROBE, SIGMA_PROBE, T18, probe_state
 from reference import qfi_generator
@@ -120,14 +123,49 @@ class TestErrorPropagation:
 
             slope = (mean_A(theta + eps) - mean_A(theta - eps)) / (2 * eps)
             phi = evolve(model, theta, t, psi0).phi_out
-            var = expectation(phi, A @ A) - expectation(phi, A) ** 2
+            g = A @ phi - np.vecdot(phi, A @ phi) * phi  # (A - <A>) phi
+            var = np.vecdot(g, g).real
             assert precision_at(model, theta, t, psi0, Observable(A)) == abs(slope) / np.sqrt(var)
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-9])
+    def test_near_eigenstate_reaches_sqrt_f(self, theta, ket0, proj0):
+        # H = theta sigma_y turns |0> by theta t, so phi lies within theta of
+        # the eigenstate |0> of A = |0><0|: Var A ~ theta^2, and sqrt(F) = 2t
+        m = custom_model(lambda th: th * linalg.SIGMA_Y, lambda th: linalg.SIGMA_Y)
+        prec = precision_at(m, theta, 1.0, ket0, Observable(proj0, "P0"))
+        assert abs(prec - 2.0) < 0.02
 
     def test_degenerate(self, ket0):
         # the identity carries no signal: zero slope and zero variance
         m = pt_model(1.0, ALPHA10, "alpha")
         assert np.isnan(precision_at(m, ALPHA10, T18, probe_state(18.0),
                                      Observable(np.eye(2), "identity")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.integers(0, 3), n=st.integers(1, 8),
+       log_delta=st.floats(-16.0, -9.0), spread=st.sampled_from([0.0, 0.5, 3.0]))
+def test_zero_g_rows_are_the_variance_nan_rows(seed, family, n, log_delta, spread):
+    # A = I + spread |v><v| with v within delta of one output state of a
+    # random probe stack: that row's ||(A - <A>) phi|| ~ spread delta
+    # straddles DEGENERATE_TOL, and spread 0 makes every row trivial
+    points, rng = random_points(4, seed)
+    model, theta, t, _ = points[family]
+    probes = np.array([probe_state(d) for d in rng.uniform(0.0, 90.0, n)])
+    res = evolve(model, theta, t, probes)
+    phi = res.phi_out
+    near = phi[rng.integers(n)]
+    v = near + 10.0 ** log_delta * np.array([-near[1].conj(), near[0].conj()])
+    A = Observable(np.eye(2) + spread * linalg.projector(v / np.linalg.norm(v)))
+    rep = optimality_residual(phi, qfi_record(model, theta, t, res).f, A)
+    prec = error_propagation_precision(model, theta, t, probes, phi, A)
+    zero_g = np.array([isinstance(failure, ZeroG) for failure in rep.failures])
+    eps = 1e-5 * max(1.0, abs(theta))
+    slope = (expectation(evolve(model, theta + eps, t, probes).phi_out, A.A)
+             - expectation(evolve(model, theta - eps, t, probes).phi_out, A.A)) / (2 * eps)
+    informative = abs(slope) > DEGENERATE_TOL
+    assert np.isnan(prec[zero_g]).all()
+    assert np.array_equal(np.isnan(prec) & informative, zero_g & informative)
 
 
 class TestOptimalityResidual:
