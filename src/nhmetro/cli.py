@@ -162,6 +162,9 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
         A = check_projector(cfg.measurement)
     except NotProjector as exc:
         raise ConfigError("measurement.matrix", f"estimate needs a rank-1 projector: {exc}")
+    if theta == 0.0:
+        raise ConfigError(f"model.params.{cfg.model.estimated_param}",
+                          "estimate needs a nonzero true value: bias_pct is relative to it")
     partial = False
     with (_csv_rows(out_path, [sweep_name, "p0", "precision", "precision_err",
                                "mean_estimate", "bias_pct", "failed_trials"]) as write,

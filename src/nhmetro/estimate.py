@@ -230,19 +230,18 @@ def run_trials(model: HamiltonianModel, t: float, psi0, A, p: float,
     inversion = mle_invert(model, t, psi0, A, frequencies, bracket)
     solved = np.flatnonzero(~np.isnan(inversion.estimates))
     estimates = inversion.estimates[solved]
-    failed = trials - len(solved)
-    if not len(estimates):
+    m = len(estimates)
+    if not m:
         raise AllTrialsFailed(f"all {trials} trials failed MLE inversion")
 
-    mean = float(estimates.mean())
-    sigma = float(estimates.std(ddof=1)) if len(estimates) > 1 else 0.0
+    sigma = float(estimates.std(ddof=1)) if m > 1 else 0.0
     precision = 1.0 / (sigma * np.sqrt(n)) if sigma > 0 else np.inf
     return EstimationRun(
         estimates=estimates,
         solved_trials=solved,
-        mean=mean,
+        mean=float(estimates.mean()),
         precision=precision,
-        precision_err=precision / np.sqrt(2.0 * (trials - 1)),
-        failed_trials=failed,
+        precision_err=precision / np.sqrt(2.0 * (m - 1)) if m > 1 else np.inf,
+        failed_trials=trials - m,
         non_monotone_scan=not inversion.monotone,
     )

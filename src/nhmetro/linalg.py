@@ -65,13 +65,10 @@ def _squarings(a: np.ndarray) -> np.ndarray:
 
 def _taylor(b: np.ndarray) -> np.ndarray:
     """Order-TAYLOR_ORDER Taylor series of exp(b) for a matrix or a stack."""
-    term = np.eye(b.shape[-1], dtype=complex)
-    if b.ndim == 3:
-        term = np.broadcast_to(term, b.shape)
-    out = term.copy()
+    term = out = np.eye(b.shape[-1], dtype=complex)
     for k in range(1, TAYLOR_ORDER + 1):
         term = term @ b / k
-        out += term
+        out = out + term
     return out
 
 
@@ -82,41 +79,28 @@ def mat_exp(a) -> np.ndarray:
     order-13 Taylor series; the truncation error is then far below double
     rounding for the dimensions handled here (<= 4).
 
-    `a` is one matrix or a stack of shape (N, d, d). Each matrix of a stack
-    keeps its own squaring count and gets exactly the bits of a single call.
+    `a` is one matrix (d, d) or a stack (N, d, d), and both run this one body.
+    Each matrix of a stack keeps its own squaring count and gets exactly the
+    bits of a single call. A stage that every matrix still needs squares the
+    whole array; other stages square only the matrices that need it.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 3:
-        return _mat_exp_stack(a)
-    # Kept for speed: one 2x2 takes 66-75 us here and 100-147 us as a stack of
-    # one (timeit, 2-CPU Xeon VM). Its callers: cmd_estimate's p0 evolve, once
-    # per sweep point; cmd_optimal's three evolves per probe-sweep config; the
-    # test-only generator_quadrature, twice per node.
-    a = as_matrix(a)
-    check_finite(a, "mat_exp input")
-    squarings = int(_squarings(a))
-    out = _taylor(a / (2.0 ** squarings))
-    for stage in range(squarings):
-        out = out @ out
-        if not np.isfinite(out).all():
-            raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{squarings}")
-    return out
-
-
-def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
-    if a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     check_finite(a, "mat_exp input")
     squarings = _squarings(a)
-    out = _taylor(a / (2.0 ** squarings)[:, None, None])
+    out = _taylor(a / (2.0 ** squarings)[..., None, None])
     for stage in range(squarings.max(initial=0)):
-        todo = np.flatnonzero(squarings > stage)
-        squared = out[todo] @ out[todo]
-        finite = np.isfinite(squared).all(axis=(1, 2))
+        todo = squarings > stage
+        if todo.all():
+            out = squared = out @ out
+        else:
+            squared = out[todo] @ out[todo]
+            out[todo] = squared
+        finite = np.isfinite(squared).all(axis=(-2, -1))
         if not finite.all():
-            total = squarings[todo[np.argmin(finite)]]
+            total = squarings[todo][np.argmin(finite)]
             raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{total}")
-        out[todo] = squared
     return out
 
 

@@ -791,6 +791,18 @@ class TestMalformedInput:
         assert main(["optimal", "--config", cfg, "--out", str(tmp_path / "opt.csv"),
                      "--quiet"]) == 0
 
+    def test_estimate_needs_a_nonzero_true_value(self, tmp_path, capsys):
+        # s = 0 is a valid pt model, but bias_pct is relative to the true value
+        doc = base_config(model={"family": "pt", "params": {"s": 0.0, "alpha": math.pi / 4},
+                                 "estimated_param": "s"},
+                          estimation={"n": 100, "trials": 2, "seed": 1, "bracket": [0.0, 1.0]})
+        parse_config(doc)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.params.s: ") and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "est.csv.trials.csv").exists()
+
     def test_optimal_needs_a_hermitian_observable(self, tmp_path, capsys):
         doc = shipped_config("optimal_probe_sweep.json")
         doc["measurement"] = {"matrix": [[1, 1], [0, 0]]}

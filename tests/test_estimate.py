@@ -150,6 +150,18 @@ class TestRunTrials:
         run = run_trials(m, math.pi / 4, ket0, proj0, p, 500, 50, 5, (0.7, 1.3))
         assert run.precision_err == run.precision / math.sqrt(2 * 49)
 
+    def test_error_bar_counts_solved_trials(self, ket0, proj0):
+        # sigma rests on the m solved trials, and so does its error bar; one
+        # solved trial has no spread, so both read inf
+        m, t = pt_model(1.0, math.pi / 4, "s"), math.pi / 8
+        p = probability(m, 1.0, t, ket0, proj0)
+        run = run_trials(m, t, ket0, proj0, p, 2000, 12, 20260823, (0.97, 1.03))
+        assert run.failed_trials == 4
+        assert run.precision_err == run.precision / math.sqrt(2 * 7)
+        run = run_trials(m, t, ket0, proj0, p, 2000, 12, 20260825, (0.999, 1.001))
+        assert run.failed_trials == 11
+        assert run.precision == run.precision_err == math.inf
+
     def test_golden_precision_pt_s(self, ket0, proj0):
         m = pt_model(1.0, math.pi / 4, "s")
         t = 10 * math.pi / 8

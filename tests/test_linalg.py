@@ -54,6 +54,8 @@ class TestMatExp:
         assert stacked.shape == a.shape
         for got, m in zip(stacked, a):
             assert np.array_equal(got, linalg.mat_exp(m))
+        # one matrix is a stack of one
+        assert linalg.mat_exp(a[0]).tobytes() == linalg.mat_exp(a[:1]).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_stack_matches_single_calls_at_squaring_boundaries(self, dim):
@@ -76,6 +78,16 @@ class TestMatExp:
         assert linalg._squarings(stack).tolist() == counts
         for got, m in zip(linalg.mat_exp(stack), stack):
             assert got.tobytes() == linalg.mat_exp(m).tobytes()
+        # every matrix needs every stage: the whole stack is squared at once
+        for k in range(6):
+            same = stack[np.array(counts) == k]
+            for got, m in zip(linalg.mat_exp(same), same):
+                assert got.tobytes() == linalg.mat_exp(m).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 3), (1, 1, 2, 2)])
+    def test_not_a_matrix_or_stack_raises(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            linalg.mat_exp(np.zeros(shape))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")

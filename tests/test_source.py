@@ -1,6 +1,9 @@
 """Source-level guards over the `nhmetro` package."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +21,16 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(MODULES) > 1
     assert found == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # estimate._seed_words_type defers numpy.random to the first trial: loading
+    # it at import would add about 10 ms to the start of every command
+    env = dict(os.environ, PYTHONPATH=str(Path(nhmetro.__file__).parents[1]))
+    code = "import sys, nhmetro.cli; print('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 GENERAL_EIGENSOLVERS = {"eig", "eigvals"}
