@@ -37,67 +37,46 @@ EXIT_NUMERICAL = 2
 EXIT_PARTIAL = 3
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, (int, str)):
-        return str(value)
-    return format(float(value), ".12g")
-
-
-def _row(values) -> str:
-    return ",".join(map(_fmt, values)) + "\n"
-
-
-def _trial_rows(sweep_value, ks, estimates) -> str:
-    """The .trials.csv rows of one sweep point as one text block: the k of
-    each solved trial as a Python int and its estimate as a Python float,
-    whose text is that of _fmt."""
-    value = _fmt(sweep_value)
-    return "".join(f"{value},{k},{est:.12g}\n" for k, est in zip(ks, estimates))
-
-
 @contextlib.contextmanager
 def _csv_rows(path, header):
-    """Open path, write the header row and yield write(text), which writes a
-    block of rows and flushes. Callers pass rows once they are complete, so
-    completed rows survive a partial failure."""
+    """Open path, write the header row and yield write(rows), which formats
+    a block of rows through one template of cells with 12 significant digits
+    (a missing value is nan; a count below 10**12 prints as an integer) in
+    one operation, writes it and flushes. Callers pass rows once they are
+    complete, so completed rows survive a partial failure."""
+    template = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", newline="") as handle:
-        def write(text):
-            handle.write(text)
+        def write(rows):
+            cells = np.ravel(rows).tolist()
+            handle.write(template * (len(cells) // len(header)) % tuple(cells))
             handle.flush()
 
-        write(_row(header))
+        handle.write(",".join(header) + "\n")
+        handle.flush()
         yield write
 
 
 def _write_table(out_path, header, values, columns, failures, log, notes=None) -> bool:
     """Write one row per sweep value: the value, then its cells of `columns`
-    (one array over the values each), or nan cells where failures[i] is set.
-    A failed row logs `name=value: <failure>`; any other row logs
-    `name=value: <note>` where notes[i] is set, and keeps its cells. Returns
-    whether any row failed."""
-    name, blank = header[0], [None] * (len(header) - 1)
-    cells = np.transpose(columns).tolist()
-    notes = notes or (None,) * len(values)
-    rows = []
+    (one array over the values each, or nan for every cell), or nan cells
+    where failures[i] is set. A failed row logs `name=value: <failure>`; any
+    other row logs `name=value: <note>` where notes[i] is set, and keeps its
+    cells. Returns whether any row failed."""
+    failed = np.array([failure is not None for failure in failures])
+    cells = np.where(failed, np.nan, np.broadcast_to(columns, (len(header) - 1, len(values))))
     with _csv_rows(out_path, header) as write:
-        for i, value in enumerate(values):
-            if failures[i] is not None:
-                log(f"{name}={value}: {failures[i]}")
-                rows.append(_row([value, *blank]))
-                continue
-            if notes[i] is not None:
-                log(f"{name}={value}: {notes[i]}")
-            rows.append(_row([value, *cells[i]]))
-        write("".join(rows))
-    return any(failure is not None for failure in failures)
+        for value, failure, note in zip(values, failures, notes or (None,) * len(values)):
+            if (message := failure or note) is not None:
+                log(f"{header[0]}={value}: {message}")
+        write(np.column_stack([values, *cells]))
+    return bool(failed.any())
 
 
 def _sweep(cfg: ExperimentConfig):
     """The sweep column name, its values, and the probes and times of its
-    points: probe angles in degrees, a (P, 2) stack of probes and the grid's
-    start time; or the time grid, the configured probe and the (N,) times."""
+    points: probe angles in degrees, a (P, 2) stack of probes and the time
+    grid's one time; or the time grid, the configured probe and the (N,)
+    times."""
     if cfg.probe_sweep is not None:
         angles = cfg.probe_sweep.linspace()
         return ("phi_deg", [math.degrees(phi) for phi in angles],
@@ -126,7 +105,7 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
     try:
         rec = qfi_record(cfg.model, theta, times, evolve(cfg.model, theta, times, cfg.probe))
     except NumericsError as exc:
-        _write_table(out_path, header, times.tolist(), (), (exc,) * len(times), log)
+        _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
         return EXIT_PARTIAL
     ok = np.array([failure is None for failure in rec.failures])
     # Production F, state derivative and closed form, nan where a route is
@@ -170,7 +149,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                                "mean_estimate", "bias_pct", "failed_trials"]) as write,
           _csv_rows(out_path + ".trials.csv", [sweep_name, "trial", "estimate"]) as write_trials):
         for idx, (sweep_value, probe, t) in enumerate(points):
-            p0 = None
+            p0 = math.nan
             try:
                 p0 = outcome_probability(evolve(cfg.model, theta, t, probe).phi_out, A)
                 run = run_trials(cfg.model, t, probe, A, p0, spec.n, spec.trials,
@@ -179,14 +158,13 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                     log(f"{sweep_name}={sweep_value}: p(theta) is not monotone on the "
                         "bracket; each estimate is the first root")
                 bias_pct = 100.0 * (run.mean - theta) / theta
-                write(_row([sweep_value, p0, run.precision, run.precision_err,
-                            run.mean, bias_pct, run.failed_trials]))
-                # Python ints and floats: the text of their NumPy scalars (k < 10**12)
-                write_trials(_trial_rows(sweep_value, run.solved_trials.tolist(),
-                                         run.estimates.tolist()))
+                write([[sweep_value, p0, run.precision, run.precision_err,
+                        run.mean, bias_pct, run.failed_trials]])
+                write_trials(np.column_stack([np.full(len(run.estimates), sweep_value),
+                                              run.solved_trials, run.estimates]))
             except (AllTrialsFailed, NumericsError) as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                write(_row([sweep_value, p0, None, None, None, None, spec.trials]))
+                write([[sweep_value, p0, math.nan, math.nan, math.nan, math.nan, spec.trials]])
                 partial = True
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -194,7 +172,10 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
 def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
     """One evolution, one QFI record and one residual fit over all points,
     and two more evolutions for precision_ep. A row whose F fails, or every
-    row when a stacked call raises, is a nan row with its error logged."""
+    row when a stacked call raises, is a nan row with its error logged.
+    When precision_ep's own evolutions raise (theta +- eps leaves the
+    model's range next to an edge), only that column is nan, and each row
+    logs `precision_ep: <error>`."""
     sweep_name, values, probes, t = _sweep(cfg)
     theta = cfg.model.true_value
     try:
@@ -206,17 +187,22 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         res = evolve(cfg.model, theta, t, probes)
         rec = qfi_record(cfg.model, theta, t, res)
         report = measure.optimality_residual(res.phi_out, rec.f, observable)
+    except NumericsError as exc:
+        _write_table(out_path, header, values, np.nan, (exc,) * len(values), log)
+        return EXIT_PARTIAL
+    notes = report.failures
+    try:
         # nan where degenerate: flagged, not dropped, as the paper's own
         # tables have blank entries at probability extrema
         precision = measure.error_propagation_precision(cfg.model, theta, t, probes,
                                                         res.phi_out, observable)
     except NumericsError as exc:
-        _write_table(out_path, header, values, (), (exc,) * len(values), log)
-        return EXIT_PARTIAL
+        # a ZeroG row keeps its own note: its precision_ep is nan either way
+        precision = np.full(len(values), np.nan)
+        notes = [note or f"precision_ep: {exc}" for note in notes]
     columns = [report.residual, report.c.real, report.c_imag_fraction, precision, np.sqrt(rec.F)]
-    failed = _write_table(out_path, header, values, columns, rec.failures, log, report.failures)
-    zero_g = any(failure is not None for failure in report.failures)
-    return EXIT_PARTIAL if failed or zero_g else EXIT_OK
+    failed = _write_table(out_path, header, values, columns, rec.failures, log, notes)
+    return EXIT_PARTIAL if failed or any(note is not None for note in notes) else EXIT_OK
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
@@ -229,24 +215,22 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
     H = hamiltonian(cfg.model, theta)
     sys_ = dilation.build_dilation(H)
     eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
-    partial = False
+    code, columns = EXIT_OK, np.full((3, len(times)), np.nan)
     try:
         Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times)
         direct = evolve(cfg.model, theta, times, cfg.probe)
     except NumericsError as exc:
         log(f"t={times[0]}..{times[-1]}: {exc}")
-        rows = [[t, None, None, None, eta_residual] for t in times]
-        partial = True
+        code = EXIT_PARTIAL
     else:
         total = np.sum(np.abs(Psi_t) ** 2, axis=1)
         drift = np.abs(total - total[0]) / total[0]
         fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
-        rows = [[t, f, p, d, eta_residual]
-                for t, f, p, d in zip(times, fidelity, success, drift)]
+        columns = [fidelity, success, drift]
     with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
                               "eta_residual"]) as write:
-        write("".join(map(_row, rows)))
-    return EXIT_PARTIAL if partial else EXIT_OK
+        write(np.column_stack([times, *columns, np.full(len(times), eta_residual)]))
+    return code
 
 
 COMMANDS = {

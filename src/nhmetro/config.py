@@ -226,6 +226,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if time_grid.stop < time_grid.start:
         raise ConfigError("time_grid.stop", f"must be >= start, got {time_grid.stop}")
     probe_sweep = _grid(doc["probe_sweep"], "probe_sweep", _angle) if "probe_sweep" in doc else None
+    if probe_sweep is not None and (time_grid.steps != 1 or time_grid.stop != time_grid.start):
+        raise ConfigError("probe_sweep", "sweeps probes at one time, but time_grid has "
+                          f"{time_grid.steps} steps from {time_grid.start} to {time_grid.stop}")
     n_points = probe_sweep.steps if probe_sweep is not None else time_grid.steps
     estimation = _parse_estimation(doc["estimation"], n_points) if "estimation" in doc else None
     csv_path = _field(doc["output"], "csv_path", "output", str) if "output" in doc else None

@@ -6,10 +6,11 @@ import math
 import numpy as np
 
 from nhmetro.dynamics import PHASE_EPS, check_normalized
-from nhmetro.errors import UnsupportedFamily
-from nhmetro.fisher import centered_state, qfi_centered
+from nhmetro.errors import Unconverged, UnsupportedFamily
+from nhmetro.fisher import (INITIAL_QUAD_ORDER, MAX_QUAD_ORDER, QUAD_CONVERGENCE_TOL,
+                            centered_state, qfi_centered)
 from nhmetro.linalg import SCALING_TARGET_NORM, as_matrix, mat_exp
-from nhmetro.models import HamiltonianModel, hamiltonian
+from nhmetro.models import HamiltonianModel, d_hamiltonian, hamiltonian
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -144,3 +145,34 @@ def closed_form_qfi_at(model: HamiltonianModel, theta: float, t: float) -> float
         den = 4 * kappa * (kappa * math.cos(x) ** 2 + math.sin(x) ** 2) ** 2
         return num / den
     raise UnsupportedFamily(f"no closed-form QFI for family {model.family!r}")
+
+
+def generator_quadrature_stacked(model: HamiltonianModel, theta: float, t: float) -> np.ndarray:
+    """`fisher.generator_quadrature` bit for bit, several times faster: each
+    order's nodes go through one mat_exp stack per side, and the weighted
+    terms are summed in node order, as the per-node loop sums them."""
+    H = hamiltonian(model, theta)
+    dH = d_hamiltonian(model, theta)
+    if t == 0:
+        return np.zeros_like(H)
+
+    def integral(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        mu = (0.5 * t * (x + 1.0))[:, None, None]
+        terms = (0.5 * t * w)[:, None, None] * (mat_exp(-1j * mu * H) @ dH
+                                                @ mat_exp(1j * mu * H))
+        acc = np.zeros_like(H)
+        for term in terms:
+            acc = acc + term
+        return acc
+
+    order = INITIAL_QUAD_ORDER
+    h = integral(order)
+    while order < MAX_QUAD_ORDER:
+        order *= 2
+        h_next = integral(order)
+        if np.linalg.norm(h_next - h) < QUAD_CONVERGENCE_TOL * max(1.0, np.linalg.norm(h_next)):
+            return h_next
+        h = h_next
+    raise Unconverged(f"generator quadrature not converged at {MAX_QUAD_ORDER} nodes "
+                      f"(theta = {theta}, t = {t})")

@@ -28,7 +28,7 @@ from nhmetro.models import hamiltonian
 from conftest import (BRACKETS, INV_SQRT_F_PROBE, MLE_SEED, P0_PROBE, P0_TIME,
                       SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, T18, gauge_deviation,
                       generator_from_output, probe_state)
-from reference import qfi_generator
+from reference import generator_quadrature_stacked, qfi_generator
 
 KET0 = linalg.basis_state(0)
 PROJ0 = linalg.projector(KET0)
@@ -77,7 +77,7 @@ def test_qfi_route_agreement():
             phi = evolve(model, theta, t, KET0).phi_out
             values = [
                 qfi_generator(generator_closed_form(model, theta, t), phi),
-                qfi_generator(generator_quadrature(model, theta, t), phi),
+                qfi_generator(generator_quadrature_stacked(model, theta, t), phi),
                 qfi_generator(generator_from_output(model, theta, t), phi),
                 qfi_state_derivative(model, theta, t, KET0),
             ]

@@ -308,19 +308,27 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
     ("optimal", cli, "evolve"), ("optimal", measure, "evolve")])
 def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypatch, capsys):
     # a typed error from a stacked call fails all rows of the config, one
-    # log line each, with exit 3
+    # log line each, with exit 3; the two evolutions of precision_ep (in
+    # measure) blank that column only, and each row logs `precision_ep: ...`
     def failing(*args):
         raise NonFinite("injected")
 
+    cfg = write_config(tmp_path, base_config())
+    clean = tmp_path / "clean.csv"
+    assert main([command, "--config", cfg, "--out", str(clean), "--quiet"]) == 0
     monkeypatch.setattr(module, name, failing)
     out = tmp_path / "out.csv"
-    code = main([command, "--config", write_config(tmp_path, base_config()), "--out", str(out)])
+    code = main([command, "--config", cfg, "--out", str(out)])
     assert code == 3
-    times = [cli._fmt(t) for t in np.linspace(math.pi / 8, 10 * math.pi / 8, 10)]
-    assert capsys.readouterr().err.count(": injected\n") == 10
-    header, *rows = out.read_text().splitlines()
-    assert [row.split(",") for row in rows] == [
-        [t] + ["nan"] * (len(header.split(",")) - 1) for t in times]
+    header, *rows = [line.split(",") for line in clean.read_text().splitlines()]
+    if module is measure:
+        assert capsys.readouterr().err.count(": precision_ep: injected\n") == 10
+        col = header.index("precision_ep")
+        expected = [row[:col] + ["nan"] + row[col + 1:] for row in rows]
+    else:
+        assert capsys.readouterr().err.count(": injected\n") == 10
+        expected = [row[:1] + ["nan"] * (len(header) - 1) for row in rows]
+    assert [line.split(",") for line in out.read_text().splitlines()] == [header, *expected]
 
 
 # every typed failure prints alone: no NumPy warning goes ahead of it, and
@@ -353,22 +361,27 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-# sweep values and estimates: exact integers, 1e-300..1e300 of either sign,
-# and values that print in exponent form at 12 digits
+# float cells: exact integers, 1e-300..1e300 of either sign, values that
+# print in exponent form at 12 digits, nan (a failed row) and +-inf (the
+# precision of a point with one solved trial)
 CSV_FLOATS = (st.integers(-10**15, 10**15).map(float)
               | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
-              | st.sampled_from([1e12, 1e16, 1.5e-5, 1e-4, 123456789012.5, -0.0, 0.0])
+              | st.sampled_from([1e12, 1e16, 1.5e-5, 1e-4, 123456789012.5, -0.0, 0.0,
+                                 math.nan, math.inf, -math.inf])
               | st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=200, deadline=None)
-@given(value=CSV_FLOATS, rows=st.lists(st.tuples(st.integers(0, 10**12 - 1), CSV_FLOATS),
-                                       max_size=20))
-def test_trial_rows_text_is_the_fmt_join(value, rows):
-    ks = [k for k, _ in rows]
-    estimates = [est for _, est in rows]
-    assert cli._trial_rows(value, ks, estimates) == "".join(
-        ",".join(map(cli._fmt, [value, k, est])) + "\n" for k, est in rows)
+@given(rows=st.lists(st.tuples(CSV_FLOATS, st.integers(0, 10**12 - 1), CSV_FLOATS),
+                     max_size=20))
+def test_every_cell_is_12_significant_digits(tmp_path_factory, rows):
+    # the one row format of every table: a float cell is format(x, ".12g"),
+    # a count is str(k), and the rows go through one template in one write
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    with cli._csv_rows(path, ["value", "trial", "estimate"]) as write:
+        write(rows)
+    assert path.read_text() == "value,trial,estimate\n" + "".join(
+        f"{format(value, '.12g')},{k},{format(est, '.12g')}\n" for value, k, est in rows)
 
 
 class TestCliEstimate:
@@ -441,7 +454,7 @@ class TestCliEstimate:
             x = estimate.sample_shots(p, n, trial_rng(seed, k))
             est = estimate.mle_invert(model, t, ket0, proj0, [x / n], bracket).estimates[0]
             if not np.isnan(est):
-                expected.append([cli._fmt(t), str(k), cli._fmt(est)])
+                expected.append([format(t, ".12g"), str(k), format(est, ".12g")])
         rows = [line.split(",")
                 for line in (tmp_path / "est.csv.trials.csv").read_text().split("\n")[1:]
                 if line]
@@ -550,6 +563,26 @@ class TestCliOptimalAndDilate:
                      "--out", str(tmp_path / "opt.csv"), "--quiet"]) == 0
         assert len(evolves) == 3
         assert len(generators) == 1
+
+    def test_precision_ep_next_to_the_ep_blanks_only_its_column(self, tmp_path, capsys):
+        # alpha + eps lies past the EP at pi/4, so only the central
+        # difference of precision_ep leaves the range; the other columns stay
+        doc = base_config(model=ep_demo_doc(0.785395), probe={"angle": 0.3},
+                          time_grid={"start": 1.0, "stop": 3.0, "steps": 3})
+        cfg = write_config(tmp_path, doc)
+        opt, qfi = tmp_path / "opt.csv", tmp_path / "qfi.csv"
+        assert main(["qfi", "--config", cfg, "--out", str(qfi), "--quiet"]) == 0
+        assert main(["optimal", "--config", cfg, "--out", str(opt)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:2] for line in err[:3]] == [
+            [f"t={t}", "precision_ep"] for t in (1.0, 2.0, 3.0)]
+        assert "Traceback" not in "\n".join(err)
+        header, *rows = [line.split(",") for line in opt.read_text().splitlines()]
+        qfi_header, *qfi_rows = [line.split(",") for line in qfi.read_text().splitlines()]
+        assert [row[header.index("precision_ep")] for row in rows] == ["nan"] * 3
+        assert all(math.isfinite(float(row[header.index("residual")])) for row in rows)
+        assert [row[header.index("sqrtF")] for row in rows] == [
+            row[qfi_header.index("sqrtF")] for row in qfi_rows]
 
     def test_optimal_probe_sweep(self, tmp_path):
         doc = base_config(
@@ -704,6 +737,13 @@ MALFORMED = {
     "nan_time": ({"time_grid": {"start": math.nan, "stop": 1.0, "steps": 2}},
                  "time_grid.start"),
     "shots_beyond_int64": ({"estimation": dict(ESTIMATION, n=10**20)}, "estimation.n"),
+    # a probe sweep runs at one time: the rest of a time grid was dropped
+    "probe_sweep_over_a_time_grid": ({"probe_sweep": {"start": "0deg", "stop": "45deg",
+                                                      "steps": 3}}, "probe_sweep"),
+    "probe_sweep_stop_past_start": ({"probe_sweep": {"start": "0deg", "stop": "45deg",
+                                                     "steps": 3},
+                                     "time_grid": {"start": 1.0, "stop": 9.0, "steps": 1}},
+                                    "probe_sweep"),
 }
 
 
@@ -744,6 +784,8 @@ class TestMalformedInput:
             parse_config(doc)
         doc["estimation"]["trials"] = MAX_TRIALS
         assert parse_config(doc).estimation.trials == MAX_TRIALS
+        # so a trial number or failed_trials prints through %.12g as str does
+        assert MAX_TRIALS < 10**12
 
     @pytest.mark.parametrize("command, section", [("qfi", "time_grid"),
                                                   ("optimal", "probe_sweep")])
@@ -752,6 +794,8 @@ class TestMalformedInput:
         doc = base_config(probe_sweep={"start": "0deg", "stop": "45deg", "steps": 3})
         if command == "qfi":
             del doc["probe_sweep"]
+        else:
+            doc["time_grid"] = {"start": 1.0, "stop": 1.0, "steps": 1}
         doc[section]["steps"] = 10**13
         out = tmp_path / "out.csv"
         assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1

@@ -16,7 +16,8 @@ from nhmetro.models import d_hamiltonian, hamiltonian
 
 from conftest import (SQRT_F_ALPHA, SQRT_F_KAPPA, SQRT_F_S, gauge_deviation,
                       generator_from_output, real_spectrum_hamiltonians)
-from reference import closed_form_qfi_at, eigen_gap_cmath, qfi_generator
+from reference import (closed_form_qfi_at, eigen_gap_cmath, generator_quadrature_stacked,
+                       qfi_generator)
 
 
 def h_alpha_closed_form(s, alpha, t):
@@ -83,6 +84,21 @@ class TestGeneratorQuadrature:
         assert np.linalg.norm(h) > 3e4
         assert np.linalg.norm(h - generator_closed_form(m, 0.7845, 40.0)) \
             <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("m, th, t, nodes", [
+        (pt_model(1.0, math.pi / 4, "s"), 1.0, 1.3, 64 + 128),
+        (ep_demo_model(0.6), 0.6, 0.0, 0),
+        (ep_demo_model(0.7845), 0.7845, 40.0, 64 + 128),
+        (kappa_model(400.0), 400.0, 5.0, 64 + 128 + 256),
+    ], ids=["pt", "t0", "near_ep", "kappa_256_nodes"])
+    def test_stacked_reference_is_bit_identical(self, monkeypatch, m, th, t, nodes):
+        # the route-agreement tests run the stacked copy in tests/reference.py
+        calls = []
+        real = linalg.mat_exp
+        monkeypatch.setattr(linalg, "mat_exp", lambda a: calls.append(1) or real(a))
+        h = generator_quadrature(m, th, t)
+        assert len(calls) == 2 * nodes
+        assert generator_quadrature_stacked(m, th, t).tobytes() == h.tobytes()
 
     def test_cap_raises_unconverged(self, monkeypatch):
         # omega t = 2000 rad: 64 and 128 Gauss-Legendre nodes cannot resolve it
@@ -301,7 +317,7 @@ class TestRoutes:
                 t = rng.uniform(0.05, 4.0)
                 phi = evolve(m, th, t, ket0).phi_out
                 values = [qfi_generator(generator_closed_form(m, th, t), phi),
-                          qfi_generator(generator_quadrature(m, th, t), phi),
+                          qfi_generator(generator_quadrature_stacked(m, th, t), phi),
                           qfi_generator(generator_from_output(m, th, t), phi),
                           qfi_state_derivative(m, th, t, ket0)]
                 if m.family in ("pt", "kappa"):
