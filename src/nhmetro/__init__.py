@@ -10,8 +10,8 @@ of the non-unitary dynamics (`dilation`), and a CSV-emitting experiment
 runner (`cli`).
 """
 
-from .models import custom_model, ep_demo_model, kappa_model, pt_model
+from .models import affine_model, ep_demo_model, kappa_model, pt_model
 
-__all__ = ["pt_model", "kappa_model", "ep_demo_model", "custom_model"]
+__all__ = ["pt_model", "kappa_model", "ep_demo_model", "affine_model"]
 
 __version__ = "0.1.0"

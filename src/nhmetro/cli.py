@@ -35,20 +35,24 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_PARTIAL = 3
+# Rows per `%` operation of a CSV write: bounds the text and float lists a
+# block of up to MAX_TRIALS trial rows builds at once.
+CSV_CHUNK_ROWS = 10_000
 
 
 @contextlib.contextmanager
 def _csv_rows(path, header):
     """Open path, write the header row and yield write(rows), which formats
     a block of rows through one template of cells with 12 significant digits
-    (a missing value is nan; a count below 10**12 prints as an integer) in
-    one operation, writes it and flushes. Callers pass rows once they are
-    complete, so completed rows survive a partial failure."""
+    (a missing value is nan; a count below 10**12 prints as an integer), one
+    operation per CSV_CHUNK_ROWS rows, writes them and flushes. Callers pass
+    rows once complete, so completed rows survive a partial failure."""
     template = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", newline="") as handle:
         def write(rows):
-            cells = np.ravel(rows).tolist()
-            handle.write(template * (len(cells) // len(header)) % tuple(cells))
+            for start in range(0, len(rows), CSV_CHUNK_ROWS):
+                cells = np.ravel(rows[start:start + CSV_CHUNK_ROWS]).tolist()
+                handle.write(template * (len(cells) // len(header)) % tuple(cells))
             handle.flush()
 
         handle.write(",".join(header) + "\n")

@@ -131,7 +131,10 @@ def _grid(doc, path, read) -> Grid:
     """A time or probe-angle grid; `read` converts its start and stop."""
     start = read(_field(doc, "start", path), f"{path}.start")
     stop = read(_field(doc, "stop", path), f"{path}.stop")
-    return Grid(start, stop, _count(doc, "steps", path, 1, MAX_STEPS))
+    steps = _count(doc, "steps", path, 1, MAX_STEPS)
+    if steps == 1 and stop != start:
+        raise ConfigError(f"{path}.stop", f"must equal start ({start}) when steps is 1, got {stop}")
+    return Grid(start, stop, steps)
 
 
 def _parse_model(doc) -> HamiltonianModel:
@@ -226,7 +229,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if time_grid.stop < time_grid.start:
         raise ConfigError("time_grid.stop", f"must be >= start, got {time_grid.stop}")
     probe_sweep = _grid(doc["probe_sweep"], "probe_sweep", _angle) if "probe_sweep" in doc else None
-    if probe_sweep is not None and (time_grid.steps != 1 or time_grid.stop != time_grid.start):
+    if probe_sweep is not None and time_grid.steps != 1:
         raise ConfigError("probe_sweep", "sweeps probes at one time, but time_grid has "
                           f"{time_grid.steps} steps from {time_grid.start} to {time_grid.stop}")
     n_points = probe_sweep.steps if probe_sweep is not None else time_grid.steps

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,8 +23,6 @@ class HamiltonianModel:
     family: str
     params: dict = field(default_factory=dict)
     estimated_param: str = ""
-    h_func: Optional[Callable[[float], np.ndarray]] = None
-    d_func: Optional[Callable[[float], np.ndarray]] = None
 
     def bound_params(self, theta: float) -> dict:
         p = dict(self.params)
@@ -51,9 +48,11 @@ def ep_demo_model(alpha: float) -> HamiltonianModel:
     return HamiltonianModel("ep_demo", {"alpha": float(alpha)}, "alpha")
 
 
-def custom_model(h_func, d_func, params=None, estimated_param="theta") -> HamiltonianModel:
-    """Custom family; the caller supplies analytic H(theta) and dH/dtheta."""
-    return HamiltonianModel("custom", dict(params or {}), estimated_param, h_func, d_func)
+def affine_model(H0, H1, theta: float) -> HamiltonianModel:
+    """H(theta) = H0 + theta H1, with any 2x2 H0 and H1, estimating theta.
+    H0 = H(t0) - t0 dH(t0) and H1 = dH(t0) reproduce any family at t0."""
+    return HamiltonianModel("affine", {"theta": float(theta), "H0": np.array(H0, dtype=complex),
+                                       "H1": np.array(H1, dtype=complex)}, "theta")
 
 
 def _check_range(*checks):
@@ -93,15 +92,14 @@ def _check_ep_demo(alpha):
 def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
     """H(theta) for one theta (2, 2) or for each theta of a 1-D array (N, 2, 2).
 
-    Each matrix of a stack equals the single call bit for bit. Only a custom
-    h_func runs per theta; the range check, the trig (np.sin, np.cos), the
-    matrix assembly and the pt product s * (...) are one array step. A range
-    error names the first theta out of range, in the text of the single call.
+    Each matrix of a stack equals the single call bit for bit. The range
+    check, the trig (np.sin, np.cos), the matrix assembly, the pt product
+    s * (...) and the affine H0 + theta H1 are one array step. A range error
+    names the first theta out of range, in the text of the single call.
     """
     thetas = np.asarray(theta, dtype=float)
-    if model.family == "custom":
-        H = [np.asarray(model.h_func(th), dtype=complex) for th in thetas.ravel().tolist()]
-        return np.array(H, dtype=complex).reshape(thetas.shape + (2, 2))
+    if model.family == "affine":
+        return model.params["H0"] + thetas[..., None, None] * model.params["H1"]
     if model.family not in PARAMS:
         raise UnsupportedFamily(f"unknown family {model.family!r}")
     p = model.bound_params(thetas)
@@ -142,7 +140,7 @@ def d_hamiltonian(model: HamiltonianModel, theta: float) -> np.ndarray:
         _check_ep_demo(alpha)
         c, s = math.cos(alpha), math.sin(alpha)
         return np.array([[1j * c, -s], [-s, -1j * c]])
-    if model.family == "custom":
-        return np.asarray(model.d_func(theta), dtype=complex)
+    if model.family == "affine":
+        return model.params["H1"].copy()
     raise UnsupportedFamily(f"unknown family {model.family!r}")
 

@@ -1,8 +1,12 @@
+import importlib
 import json
 import math
 import os
+import sys
+import tracemalloc
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
-from nhmetro.config import MAX_STEPS, MAX_TRIALS, parse_config, probe_from_angle
+from nhmetro.config import MAX_STEPS, MAX_TRIALS, load_config, parse_config, probe_from_angle
 from nhmetro.dynamics import evolve, outcome_probability
 from nhmetro.errors import ConfigError, NonFinite, NotNormalized, OutOfRange
 
@@ -20,6 +24,7 @@ from reference import qfi_generator, trial_rng
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(PKG_ROOT, "configs")
+BENCH_DIR = os.path.join(PKG_ROOT, "perfbench")
 
 
 def base_config(**overrides):
@@ -105,6 +110,27 @@ class TestConfigParsing:
         for name in names:
             assert main(["validate", "--config", os.path.join(CONFIG_DIR, name),
                          "--quiet"]) == 0
+
+
+def benchmark_workloads():
+    """The benchmark's seeded workloads, `perfbench/workloads.py`."""
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(BENCH_DIR)
+
+
+@pytest.mark.parametrize("seed", [20260823, *range(101, 107)])
+def test_every_benchmark_config_loads(seed, tmp_path):
+    # a config error exits 1, which fails every row of a benchmark job: no
+    # config check may reject a job or warm-up config of the benchmark (the
+    # shipped configs are `test_shipped_configs_validate`'s)
+    workloads = benchmark_workloads()
+    for name in workloads.WORKLOADS:
+        built = workloads.build(name, seed, Path(PKG_ROOT))
+        for i, job in enumerate(built.jobs + built.warmup):
+            load_config(write_config(tmp_path, job.config, f"{name}_{i}.json"))
 
 
 class TestCliQfi:
@@ -382,6 +408,25 @@ def test_every_cell_is_12_significant_digits(tmp_path_factory, rows):
         write(rows)
     assert path.read_text() == "value,trial,estimate\n" + "".join(
         f"{format(value, '.12g')},{k},{format(est, '.12g')}\n" for value, k, est in rows)
+
+
+def test_a_long_block_is_written_in_bounded_chunks(tmp_path):
+    # 100,003 trial rows span ten chunk boundaries: every cell keeps its
+    # text, and the write holds one chunk's lists and text at a time (about
+    # 2 MB), where the whole block formatted at once peaked at about 17 MB
+    count = 10 * cli.CSV_CHUNK_ROWS + 3
+    rows = np.column_stack([np.full(count, 2.5), np.arange(count), np.linspace(0.9, 1.1, count)])
+    path = tmp_path / "trials.csv"
+    tracemalloc.start()
+    try:
+        with cli._csv_rows(path, ["t", "trial", "estimate"]) as write:
+            write(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert path.read_text() == "t,trial,estimate\n" + "".join(
+        f"2.5,{k},{format(est, '.12g')}\n" for k, est in enumerate(rows[:, 2].tolist()))
 
 
 class TestCliEstimate:
@@ -743,7 +788,14 @@ MALFORMED = {
     "probe_sweep_stop_past_start": ({"probe_sweep": {"start": "0deg", "stop": "45deg",
                                                      "steps": 3},
                                      "time_grid": {"start": 1.0, "stop": 9.0, "steps": 1}},
-                                    "probe_sweep"),
+                                    "time_grid.stop"),
+    # a one-point grid's one point is its start: the stop was dropped
+    "time_grid_one_step_stop_past_start": ({"time_grid": {"start": 1.0, "stop": 5.0,
+                                                          "steps": 1}}, "time_grid.stop"),
+    "probe_sweep_one_step_stop_past_start": ({"probe_sweep": {"start": "0deg", "stop": "45deg",
+                                                              "steps": 1},
+                                              "time_grid": {"start": 1.0, "stop": 1.0,
+                                                            "steps": 1}}, "probe_sweep.stop"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import custom_model, dynamics, ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro import affine_model, dynamics, ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dynamics import (PHASE_EPS, check_projector, evolve, expectation, fix_phase,
                               outcome_probability)
 from nhmetro.errors import NotNormalized, NotProjector, OutOfRange
@@ -29,7 +29,7 @@ class TestEvolve:
         assert np.array_equal(res.phi_out, fix_phase(res.phi_out))
 
     def test_hermitian_preserves_norm(self, ket0):
-        m = custom_model(lambda th: th * linalg.SIGMA_Z, lambda th: linalg.SIGMA_Z)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Z, 1.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         for t in [0.3, 1.0, 5.0]:
             assert abs(evolve(m, 1.0, t, plus).K - 1.0) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import fisher, linalg, pt_model, kappa_model, ep_demo_model, custom_model
+from nhmetro import fisher, linalg, pt_model, kappa_model, ep_demo_model, affine_model
 from nhmetro.dynamics import evolve
 from nhmetro.errors import (ImaginaryResidue, NumericsError, NotNormalized, Unconverged,
                             UnsupportedFamily, UnsupportedProbe)
@@ -126,13 +126,14 @@ def generator_points():
     for _ in range(4):  # next to the EP at pi/4, late times
         alpha = rng.uniform(0.784, 0.785)
         points.append((ep_demo_model(alpha), alpha, rng.uniform(30.0, 50.0)))
-    # custom: nilpotent B (omega = 0, the EP itself) and broken regime (imaginary omega)
-    nilpotent = custom_model(lambda th: th * NILPOTENT + 0.3 * np.eye(2),
-                             lambda th: np.array([[0.2, 1j], [0.5, -0.2]]))
-    broken = custom_model(lambda g: np.array([[1j * g, 1.0], [1.0, -1j * g]]),
-                          lambda g: np.array([[1j, 0.0], [0.0, -1j]]))
+    # affine: nilpotent B (omega = 0, the EP itself) and broken regime (imaginary omega).
+    # H = N + 0.3 I at theta0 = 1 with a dH that is not N: H0 = H - dH keeps
+    # both, and H0 + 1.0 dH is H bit for bit, so omega is exactly 0
+    dH = np.array([[0.2, 1j], [0.5, -0.2]])
+    nilpotent = affine_model(NILPOTENT + 0.3 * np.eye(2) - dH, dH, 1.0)
+    broken = affine_model([[0.0, 1.0], [1.0, 0.0]], [[1j, 0.0], [0.0, -1j]], 1.5)
     for t in (1e-6, 1.0, 7.0):
-        points += [(nilpotent, 1.3, t), (broken, 1.5, t)]
+        points += [(nilpotent, 1.0, t), (broken, 1.5, t)]
     return points
 
 
@@ -146,7 +147,7 @@ class TestGeneratorClosedForm:
     def test_nilpotent_is_a_polynomial_in_t(self):
         # B^2 = 0: h = t dH + i (t^2/2) [dH, N] + (t^3/3) N dH N exactly
         dH, N = np.array([[0.2, 1j], [0.5, -0.2]]), NILPOTENT
-        m = custom_model(lambda th: th * N - 0.7j * np.eye(2), lambda th: dH)
+        m = affine_model(N - 0.7j * np.eye(2) - dH, dH, 1.0)  # H = N - 0.7i I at theta = 1
         for t in (0.0, 0.1, 3.0, 40.0):
             exact = t * dH + 0.5j * t * t * (dH @ N - N @ dH) + t ** 3 / 3 * (N @ dH @ N)
             h = generator_closed_form(m, 1.0, t)
@@ -168,7 +169,7 @@ class TestGeneratorClosedForm:
 
 class TestOutputDerivative:
     def test_commuting_hamiltonian(self):
-        m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Z / 2, 1.0)
         t = 1.7
         assert np.linalg.norm(generator_from_output(m, 1.0, t) - (t / 2) * linalg.SIGMA_Z) < 1e-14
 
@@ -256,7 +257,7 @@ class TestQfiStateDerivative:
         assert abs(math.sqrt(f) - 0.4682) < 1e-3
 
     def test_hermitian_ramsey(self):
-        m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Z / 2, 1.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         for t in [0.5, 1.0, 2.0]:
             assert abs(qfi_state_derivative(m, 1.0, t, plus) - t * t) < 1e-8
@@ -344,7 +345,7 @@ class TestRecordAndScaledInfo:
         assert abs(rec.I) < 1e-10
 
     def test_hermitian_scaled_equals_plain(self):
-        m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Z / 2, 1.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         rec = record(m, 1.0, 1.3, plus)
         assert abs(rec.K - 1.0) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import linalg, pt_model, kappa_model, custom_model, ep_demo_model
+from nhmetro import linalg, pt_model, kappa_model, affine_model, ep_demo_model
 from nhmetro.dynamics import evolve, expectation
 from nhmetro.errors import NotHermitian, ZeroG
 from nhmetro.fisher import generator_closed_form, generator_quadrature, qfi_record, sld_operator
@@ -103,7 +103,7 @@ class TestErrorPropagation:
         assert prec < _sqrt_f(m, ALPHA10, T18, probe)
 
     def test_hermitian_ramsey(self):
-        m = custom_model(lambda w: (w / 2) * linalg.SIGMA_Z, lambda w: linalg.SIGMA_Z / 2)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Z / 2, 1.0)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         t = 0.05
         prec = precision_at(m, 1.0, t, plus, Observable(linalg.SIGMA_X, "X"))
@@ -131,7 +131,7 @@ class TestErrorPropagation:
     def test_near_eigenstate_reaches_sqrt_f(self, theta, ket0, proj0):
         # H = theta sigma_y turns |0> by theta t, so phi lies within theta of
         # the eigenstate |0> of A = |0><0|: Var A ~ theta^2, and sqrt(F) = 2t
-        m = custom_model(lambda th: th * linalg.SIGMA_Y, lambda th: linalg.SIGMA_Y)
+        m = affine_model(np.zeros((2, 2)), linalg.SIGMA_Y, theta)
         prec = precision_at(m, theta, 1.0, ket0, Observable(proj0, "P0"))
         assert abs(prec - 2.0) < 0.02
 

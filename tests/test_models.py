@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, custom_model
+from nhmetro import linalg, pt_model, kappa_model, ep_demo_model, affine_model
+from nhmetro.dilation import build_dilation
+from nhmetro.dynamics import evolve
 from nhmetro.errors import OutOfRange, UnsupportedFamily
-from nhmetro.fisher import generator_quadrature
+from nhmetro.fisher import generator_quadrature, qfi_record
 from nhmetro.models import d_hamiltonian, hamiltonian
 
 from reference import closed_form_U, h_eigen_oracle
@@ -44,9 +46,10 @@ class TestHamiltonian:
         with pytest.raises(OutOfRange):
             hamiltonian(ep_demo_model(0.3), math.pi / 4)
 
-    def test_custom_callables(self):
-        m = custom_model(lambda th: th * linalg.SIGMA_Z, lambda th: linalg.SIGMA_Z)
-        assert np.allclose(hamiltonian(m, 0.7), 0.7 * linalg.SIGMA_Z)
+    def test_affine_matrices(self):
+        m = affine_model(linalg.SIGMA_X, linalg.SIGMA_Z, 0.7)
+        assert m.true_value == 0.7
+        assert np.allclose(hamiltonian(m, 0.7), linalg.SIGMA_X + 0.7 * linalg.SIGMA_Z)
         assert np.allclose(d_hamiltonian(m, 0.7), linalg.SIGMA_Z)
 
 
@@ -59,14 +62,14 @@ EP_DEMO_ALPHAS = (st.floats(0.0, EP_ALPHA, exclude_min=True, exclude_max=True)
 PT_S = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6) | st.floats(0.0, 1e300)
 
 
-def custom_h(theta):
-    return np.array([[math.sin(theta), 1j * theta], [theta * theta, -math.cos(theta)]])
+COMPLEX = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+MATRICES = st.lists(COMPLEX, min_size=4, max_size=4).map(lambda z: np.reshape(z, (2, 2)))
 
 
 @st.composite
 def stacks(draw):
-    """(model, list of theta) for each family, custom included."""
-    family = draw(st.sampled_from(["pt_s", "pt_alpha", "kappa", "ep_demo", "custom"]))
+    """(model, list of theta) for each family, affine included."""
+    family = draw(st.sampled_from(["pt_s", "pt_alpha", "kappa", "ep_demo", "affine"]))
     size = dict(min_size=1, max_size=70)
     if family == "pt_s":
         return pt_model(1.0, draw(PT_ALPHAS), "s"), draw(st.lists(PT_S, **size))
@@ -77,12 +80,13 @@ def stacks(draw):
         return kappa_model(2.0), draw(st.lists(kappas, **size))
     if family == "ep_demo":
         return ep_demo_model(0.5), draw(st.lists(EP_DEMO_ALPHAS, **size))
-    return (custom_model(custom_h, custom_h),
+    return (affine_model(draw(MATRICES), draw(MATRICES), 1.0),
             draw(st.lists(st.floats(-10.0, 10.0), **size)))
 
 
 def literal_hamiltonian(model, theta):
-    """One point's H as an explicit 2x2 literal with math.sin and math.cos."""
+    """One point's H as an explicit 2x2 literal with math.sin and math.cos,
+    or H0 + theta H1."""
     p = model.bound_params(theta)
     if model.family == "pt":
         a = math.sin(p["alpha"])
@@ -92,7 +96,7 @@ def literal_hamiltonian(model, theta):
     if model.family == "ep_demo":
         c, s = math.cos(p["alpha"]), math.sin(p["alpha"])
         return np.array([[1j * s, c], [c, -1j * s]])
-    return np.asarray(model.h_func(theta), dtype=complex)
+    return p["H0"] + theta * p["H1"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,6 +109,39 @@ def test_stacked_hamiltonian_matches_single_calls(case):
     assert stacked.tobytes() == np.array(singles).tobytes()
     assert np.array(singles).tobytes() == np.array(
         [literal_hamiltonian(model, th) for th in thetas]).tobytes()
+
+
+@st.composite
+def affine_catalog(draw):
+    """(catalog model, the same family as an affine model, list of theta),
+    both true at the first theta: kappa as H0 = [[0, 0], [1, 0]] with
+    H1 = [[0, 1], [0, 0]], and pt(s) as H0 = 0 with H1 = M(alpha)."""
+    size = dict(min_size=1, max_size=8)
+    if draw(st.booleans()):
+        thetas = draw(st.lists(st.floats(0.01, 10.0).filter(lambda k: k != 1.0), **size))
+        return (kappa_model(thetas[0]),
+                affine_model([[0, 0], [1, 0]], [[0, 1], [0, 0]], thetas[0]), thetas)
+    alpha, thetas = draw(st.floats(0.05, 1.5)), draw(st.lists(st.floats(0.01, 10.0), **size))
+    a = math.sin(alpha)
+    return (pt_model(thetas[0], alpha, "s"),
+            affine_model(np.zeros((2, 2)), [[1j * a, 1.0], [1.0, -1j * a]], thetas[0]), thetas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=affine_catalog(), t=st.floats(0.0, 20.0), angle=st.floats(0.0, math.pi))
+def test_affine_model_reproduces_the_catalog(case, t, angle):
+    catalog, affine, thetas = case
+    theta, times = thetas[0], np.linspace(0.0, t, 5)
+    psi0 = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+
+    def outputs(m):
+        rec = qfi_record(m, theta, times, evolve(m, theta, times, psi0))
+        return (hamiltonian(m, np.array(thetas)), d_hamiltonian(m, theta),
+                evolve(m, np.array(thetas), t, psi0).phi_out, rec.F, rec.K, rec.gap,
+                build_dilation(hamiltonian(m, theta)).H_tot)
+
+    for got, expected in zip(outputs(affine), outputs(catalog)):
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("model, thetas, message", [
