@@ -78,23 +78,14 @@ def _write_table(out_path, header, values, columns, failures, log, notes=None) -
 
 def _sweep(cfg: ExperimentConfig):
     """The sweep column name, its values, and the probes and times of its
-    points: probe angles in degrees, a (P, 2) stack of probes and the time
-    grid's one time; or the time grid, the configured probe and the (N,)
-    times."""
+    points, as `cmd_estimate` and `cmd_optimal` read them: probe angles in
+    degrees, a (P, 2) stack of probes and the time grid's one time; or the
+    time grid, the configured probe and the (N,) times."""
     if cfg.probe_sweep is not None:
         angles = cfg.probe_sweep.linspace()
-        return ("phi_deg", [math.degrees(phi) for phi in angles],
-                np.array([probe_from_angle(phi) for phi in angles]), cfg.time_grid.start)
+        return "phi_deg", np.degrees(angles).tolist(), probe_from_angle(angles), cfg.time_grid.start
     times = cfg.time_grid.linspace()
     return "t", times.tolist(), cfg.probe, times
-
-
-def _sweep_points(cfg: ExperimentConfig):
-    """The sweep column name and its (sweep value, probe, t) points."""
-    sweep_name, values, probes, times = _sweep(cfg)
-    if np.ndim(times) == 0:
-        return sweep_name, [(value, probe, times) for value, probe in zip(values, probes)]
-    return sweep_name, [(value, probes, value) for value in values]
 
 
 def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
@@ -138,7 +129,7 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
 def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     if cfg.estimation is None:
         raise ConfigError("estimation", "required for the estimate subcommand")
-    sweep_name, points = _sweep_points(cfg)
+    sweep_name, values, probes, times = _sweep(cfg)
     theta = cfg.model.true_value
     spec = cfg.estimation
     try:
@@ -152,6 +143,8 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
     with (_csv_rows(out_path, [sweep_name, "p0", "precision", "precision_err",
                                "mean_estimate", "bias_pct", "failed_trials"]) as write,
           _csv_rows(out_path + ".trials.csv", [sweep_name, "trial", "estimate"]) as write_trials):
+        points = zip(values, np.broadcast_to(probes, (len(values), 2)),
+                     np.broadcast_to(times, len(values)))
         for idx, (sweep_value, probe, t) in enumerate(points):
             p0 = math.nan
             try:

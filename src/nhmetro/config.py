@@ -68,8 +68,9 @@ class ExperimentConfig:
     csv_path: Optional[str] = None
 
 
-def probe_from_angle(phi: float) -> np.ndarray:
-    return np.array([math.cos(2 * phi), math.sin(2 * phi)], dtype=complex)
+def probe_from_angle(phi) -> np.ndarray:
+    """cos 2phi |0> + sin 2phi |1> for one angle (2,) or an array of angles (..., 2)."""
+    return np.stack([np.cos(2 * phi), np.sin(2 * phi)], axis=-1).astype(complex)
 
 
 def _field(doc, key, path, kind=None):

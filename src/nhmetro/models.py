@@ -50,9 +50,10 @@ def ep_demo_model(alpha: float) -> HamiltonianModel:
 
 def affine_model(H0, H1, theta: float) -> HamiltonianModel:
     """H(theta) = H0 + theta H1, with any 2x2 H0 and H1, estimating theta.
-    H0 = H(t0) - t0 dH(t0) and H1 = dH(t0) reproduce any family at t0."""
-    return HamiltonianModel("affine", {"theta": float(theta), "H0": np.array(H0, dtype=complex),
-                                       "H1": np.array(H1, dtype=complex)}, "theta")
+    H0 = H(t0) - t0 dH(t0) and H1 = dH(t0) reproduce any family at t0. H0
+    and H1 are kept as nested tuples of complex, so two models compare."""
+    H0, H1 = (tuple(map(tuple, np.array(M, dtype=complex).tolist())) for M in (H0, H1))
+    return HamiltonianModel("affine", {"theta": float(theta), "H0": H0, "H1": H1}, "theta")
 
 
 def _check_range(*checks):
@@ -99,7 +100,8 @@ def hamiltonian(model: HamiltonianModel, theta) -> np.ndarray:
     """
     thetas = np.asarray(theta, dtype=float)
     if model.family == "affine":
-        return model.params["H0"] + thetas[..., None, None] * model.params["H1"]
+        H0, H1 = (np.asarray(model.params[k], dtype=complex) for k in ("H0", "H1"))
+        return H0 + thetas[..., None, None] * H1
     if model.family not in PARAMS:
         raise UnsupportedFamily(f"unknown family {model.family!r}")
     p = model.bound_params(thetas)
@@ -141,6 +143,6 @@ def d_hamiltonian(model: HamiltonianModel, theta: float) -> np.ndarray:
         c, s = math.cos(alpha), math.sin(alpha)
         return np.array([[1j * c, -s], [-s, -1j * c]])
     if model.family == "affine":
-        return model.params["H1"].copy()
+        return np.asarray(model.params["H1"], dtype=complex)
     raise UnsupportedFamily(f"unknown family {model.family!r}")
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -112,13 +113,15 @@ class TestConfigParsing:
                          "--quiet"]) == 0
 
 
-def benchmark_workloads():
-    """The benchmark's seeded workloads, `perfbench/workloads.py`."""
+def benchmark_module(name):
+    """A module of the benchmark, `perfbench/<name>.py`, imported without
+    leaving `perfbench/` on sys.path."""
+    path = sys.path[:]
     sys.path.insert(0, BENCH_DIR)
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
-        sys.path.remove(BENCH_DIR)
+        sys.path[:] = path
 
 
 @pytest.mark.parametrize("seed", [20260823, *range(101, 107)])
@@ -126,11 +129,29 @@ def test_every_benchmark_config_loads(seed, tmp_path):
     # a config error exits 1, which fails every row of a benchmark job: no
     # config check may reject a job or warm-up config of the benchmark (the
     # shipped configs are `test_shipped_configs_validate`'s)
-    workloads = benchmark_workloads()
+    workloads = benchmark_module("workloads")
     for name in workloads.WORKLOADS:
         built = workloads.build(name, seed, Path(PKG_ROOT))
         for i, job in enumerate(built.jobs + built.warmup):
             load_config(write_config(tmp_path, job.config, f"{name}_{i}.json"))
+
+
+# (attempted, failed) rows of one pass of each benchmark workload. At seed
+# 102 one estimate_kappa trial at t = pi/6 has an x/n outside p on the
+# bracket [1.145, 2.855].
+FAILED_SHARE = {"mle_sweep": (29_000, 0), "qfi_sweep": (118, 0), "dilation_scan": (5_000, 0)}
+FAILED_SHARE_AT = {("mle_sweep", 102): (29_000, 1)}
+
+
+@pytest.mark.parametrize("seed", [20260823, *range(101, 107)])
+def test_failed_share_per_workload(seed, tmp_path):
+    # A change meant to keep results keeps failed/attempted exactly: one
+    # pass of every job through cli.main, counted as the benchmark counts.
+    workloads, run = benchmark_module("workloads"), benchmark_module("run")
+    for name in workloads.WORKLOADS:
+        jobs = workloads.build(name, seed, Path(PKG_ROOT)).jobs
+        m = run.measure(run.Runner(cli, tmp_path, name, jobs), jobs, 0.0)
+        assert (m.attempted, m.failed) == FAILED_SHARE_AT.get((name, seed), FAILED_SHARE[name])
 
 
 class TestCliQfi:
@@ -464,13 +485,18 @@ class TestCliEstimate:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "sweep.csv"
         code = main(["estimate", "--config", cfg, "--out", str(out), "--quiet"])
-        assert code in (0, 3)  # the phi=22.5 deg point may legitimately fail
+        assert code == 3  # every trial fails at phi = 22.5, 27 and 31.5 deg
         lines = [line for line in out.read_text().split("\n") if line]
         header = lines[0].split(",")
         assert header[0] == "phi_deg" and header[1] == "p0"
         p0 = [float(line.split(",")[1]) for line in lines[1:]]
         assert abs(p0[0] - 0.0872) < 1e-3
         assert abs(p0[-1] - 0.9128) < 1e-3
+        # the bytes of a probe-sweep estimate, its failed rows included
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "sweep.csv.trials.csv")]
+        assert digests == ["38ba32f6c8ab59a0941fc967908b2d57c7ba0b35657f6f81a3c5fbd70b9a8ab7",
+                           "ef24995dca3a7fb327c8d850ce32819ea43282f7d9c3712dffd0eeea9081133c"]
 
     def test_partial_exit_code(self, tmp_path):
         # a far-off bracket makes every inversion fail at this grid point

@@ -52,6 +52,15 @@ class TestHamiltonian:
         assert np.allclose(hamiltonian(m, 0.7), linalg.SIGMA_X + 0.7 * linalg.SIGMA_Z)
         assert np.allclose(d_hamiltonian(m, 0.7), linalg.SIGMA_Z)
 
+    def test_models_compare_by_value(self):
+        # H0 and H1 are nested tuples of complex, so affine models compare
+        m = affine_model(np.eye(2), np.eye(2), 1.0)
+        assert m == affine_model(np.eye(2), [[1, 0], [0, 1]], 1.0)
+        assert m != affine_model(np.eye(2), 2 * np.eye(2), 1.0)
+        assert m != affine_model(np.eye(2), np.eye(2), 1.5)
+        assert kappa_model(2.0) == kappa_model(2.0) != kappa_model(3.0)
+        assert pt_model(1.0, 0.3) == pt_model(1.0, 0.3) != pt_model(1.0, 0.3, "alpha")
+
 
 EP_ALPHA = math.pi / 4
 # theta strictly inside (0, pi/2) for pt alpha, and inside (0, pi/4) for ep_demo,
@@ -96,7 +105,7 @@ def literal_hamiltonian(model, theta):
     if model.family == "ep_demo":
         c, s = math.cos(p["alpha"]), math.sin(p["alpha"])
         return np.array([[1j * s, c], [c, -1j * s]])
-    return p["H0"] + theta * p["H1"]
+    return np.asarray(p["H0"], dtype=complex) + theta * np.asarray(p["H1"], dtype=complex)
 
 
 @settings(max_examples=200, deadline=None)
