@@ -203,31 +203,27 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
-    """One dilated and one direct evolution over the whole time grid. A
-    numerical failure of either fails every row of the config."""
+    """One dilated and one direct evolution over the whole time grid. When
+    either stacked call raises, every row is a nan row with its error logged."""
     if cfg.probe_sweep is not None:
         raise ConfigError("probe_sweep", "dilate sweeps time only")
     theta = cfg.model.true_value
     times = cfg.time_grid.linspace()
-    H = hamiltonian(cfg.model, theta)
-    sys_ = dilation.build_dilation(H)
-    eta_residual = float(np.linalg.norm(sys_.eta @ H - linalg.dagger(H) @ sys_.eta))
-    code, columns = EXIT_OK, np.full((3, len(times)), np.nan)
+    sys_ = dilation.build_dilation(hamiltonian(cfg.model, theta))
+    eta_residual = np.linalg.norm(sys_.eta @ sys_.H - linalg.dagger(sys_.H) @ sys_.eta)
+    header = ["t", "fidelity", "success_prob", "norm_drift", "eta_residual"]
     try:
         Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times)
         direct = evolve(cfg.model, theta, times, cfg.probe)
     except NumericsError as exc:
-        log(f"t={times[0]}..{times[-1]}: {exc}")
-        code = EXIT_PARTIAL
-    else:
-        total = np.sum(np.abs(Psi_t) ** 2, axis=1)
-        drift = np.abs(total - total[0]) / total[0]
-        fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
-        columns = [fidelity, success, drift]
-    with _csv_rows(out_path, ["t", "fidelity", "success_prob", "norm_drift",
-                              "eta_residual"]) as write:
-        write(np.column_stack([times, *columns, np.full(len(times), eta_residual)]))
-    return code
+        _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
+        return EXIT_PARTIAL
+    total = np.sum(np.abs(Psi_t) ** 2, axis=1)
+    drift = np.abs(total - total[0]) / total[0]
+    fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
+    columns = [fidelity, success, drift, np.full(len(times), eta_residual)]
+    _write_table(out_path, header, times.tolist(), columns, (None,) * len(times), log)
+    return EXIT_OK
 
 
 COMMANDS = {

@@ -24,6 +24,10 @@ class HamiltonianModel:
     params: dict = field(default_factory=dict)
     estimated_param: str = ""
 
+    def __hash__(self) -> int:
+        # the dataclass hash would hash the params dict, which has none
+        return hash((self.family, tuple(sorted(self.params.items())), self.estimated_param))
+
     def bound_params(self, theta: float) -> dict:
         p = dict(self.params)
         p[self.estimated_param] = theta

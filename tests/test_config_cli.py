@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import cli, ep_demo_model, estimate, fisher, linalg, measure, pt_model
+from nhmetro import cli, dilation, ep_demo_model, estimate, fisher, linalg, measure, pt_model
 from nhmetro.cli import main
 from nhmetro.config import MAX_STEPS, MAX_TRIALS, load_config, parse_config, probe_from_angle
 from nhmetro.dynamics import evolve, outcome_probability
@@ -352,7 +352,8 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, module, name", [
     ("qfi", cli, "qfi_record"), ("qfi", cli, "evolve"),
-    ("optimal", cli, "evolve"), ("optimal", measure, "evolve")])
+    ("optimal", cli, "evolve"), ("optimal", measure, "evolve"),
+    ("dilate", cli, "evolve"), ("dilate", dilation, "evolve_dilated")])
 def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypatch, capsys):
     # a typed error from a stacked call fails all rows of the config, one
     # log line each, with exit 3; the two evolutions of precision_ep (in
@@ -735,21 +736,6 @@ class TestCliOptimalAndDilate:
         assert main(["dilate", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "dil.csv"), "--quiet"]) == 0
         assert len(calls) == 2 and all(len(args[2]) == 10 for args in calls)
-
-    def test_failed_evolution_fails_every_dilate_row(self, tmp_path, monkeypatch, capsys):
-        def failing(*args):
-            raise NonFinite("injected")
-
-        monkeypatch.setattr(cli, "evolve", failing)
-        doc = base_config(time_grid={"start": 0.0, "stop": 4.0, "steps": 5})
-        out = tmp_path / "dil.csv"
-        assert main(["dilate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.count("injected") == 1
-        rows = [line.split(",") for line in out.read_text().split("\n")[1:] if line]
-        assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
-        for row in rows:
-            assert row[1:4] == ["nan"] * 3 and 0.0 <= float(row[4]) < 1e-12
 
 
 class TestCliErrors:

@@ -10,7 +10,7 @@ from nhmetro.dilation import build_dilation
 from nhmetro.dynamics import evolve
 from nhmetro.errors import OutOfRange, UnsupportedFamily
 from nhmetro.fisher import generator_quadrature, qfi_record
-from nhmetro.models import d_hamiltonian, hamiltonian
+from nhmetro.models import HamiltonianModel, d_hamiltonian, hamiltonian
 
 from reference import closed_form_U, h_eigen_oracle
 
@@ -60,6 +60,19 @@ class TestHamiltonian:
         assert m != affine_model(np.eye(2), np.eye(2), 1.5)
         assert kappa_model(2.0) == kappa_model(2.0) != kappa_model(3.0)
         assert pt_model(1.0, 0.3) == pt_model(1.0, 0.3) != pt_model(1.0, 0.3, "alpha")
+
+    def test_equal_models_hash_equal(self):
+        # the hash is over the params' items in key order, so a dict built
+        # in another order hashes as the catalog's
+        pairs = [(pt_model(1.0, 0.3), HamiltonianModel("pt", {"alpha": 0.3, "s": 1.0}, "s")),
+                 (kappa_model(2.0), kappa_model(2.0)),
+                 (affine_model(np.eye(2), np.eye(2), 1.0),
+                  affine_model(np.eye(2), [[1, 0], [0, 1]], 1.0))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        table = {a: k for k, (a, _) in enumerate(pairs)}
+        assert [table[b] for _, b in pairs] == [0, 1, 2]
+        assert pt_model(1.0, 0.3, "alpha") not in table
 
 
 EP_ALPHA = math.pi / 4

@@ -102,6 +102,25 @@ def test_config_converts_values_only_in_its_readers():
     assert [f for f in found if f[0] not in CONFIG_READERS] == []
 
 
+# Who in cli.py may name `open` and `_csv_rows`: one function opens the
+# output file, and only the shared table writer and the per-point stream of
+# `estimate` write through it.
+TABLE_WRITERS = {"open": {"_csv_rows"}, "_csv_rows": {"_write_table", "cmd_estimate"}}
+
+
+def test_every_table_goes_through_one_writer():
+    # A command with a private table writer would have its own row format
+    # and its own failed-row rule.
+    path = Path(nhmetro.__file__).parent / "cli.py"
+    users = {name: set() for name in TABLE_WRITERS}
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(statement):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in users:
+                users[name].add(getattr(statement, "name", None))
+    assert users == TABLE_WRITERS
+
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_DIRS = ("src", "tests", "perfbench")
 
