@@ -6,9 +6,9 @@ and emits a CSV (12 significant digits, '\\n' line endings) that is
 byte-identical across runs for the same (config, seed). `validate` only
 loads the config, which checks every value and the model's parameter range.
 
-Exit codes: 0 ok, 1 config error (a malformed or out-of-range config value,
-or an output file that cannot be written), 2 numerical failure, 3 partial
-(some rows failed; completed rows are flushed).
+Exit codes: 0 ok, 1 config error (a malformed or out-of-range config value
+or --seed, or an output file that cannot be written), 2 numerical failure,
+3 partial (some rows failed; completed rows are flushed).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from dataclasses import replace
 
@@ -25,8 +24,8 @@ import numpy as np
 from . import dilation, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
 from .dynamics import check_projector, evolve, outcome_probability
-from .errors import (AllTrialsFailed, ConfigError, NotHermitian, NotProjector, NumericsError,
-                     UnsupportedFamily, UnsupportedProbe)
+from .errors import (ConfigError, NotHermitian, NotProjector, NumericsError, UnsupportedFamily,
+                     UnsupportedProbe)
 from .estimate import run_trials
 from .fisher import qfi_closed_form, qfi_record, qfi_state_derivative
 from .models import hamiltonian
@@ -60,12 +59,12 @@ def _csv_rows(path, header):
         yield write
 
 
-def _write_table(out_path, header, values, columns, failures, log, notes=None) -> bool:
+def _write_table(out_path, header, values, columns, failures, log, notes=None) -> int:
     """Write one row per sweep value: the value, then its cells of `columns`
     (one array over the values each, or nan for every cell), or nan cells
     where failures[i] is set. A failed row logs `name=value: <failure>`; any
     other row logs `name=value: <note>` where notes[i] is set, and keeps its
-    cells. Returns whether any row failed."""
+    cells. Returns EXIT_PARTIAL when a row failed, else EXIT_OK."""
     failed = np.array([failure is not None for failure in failures])
     cells = np.where(failed, np.nan, np.broadcast_to(columns, (len(header) - 1, len(values))))
     with _csv_rows(out_path, header) as write:
@@ -73,7 +72,7 @@ def _write_table(out_path, header, values, columns, failures, log, notes=None) -
             if (message := failure or note) is not None:
                 log(f"{header[0]}={value}: {message}")
         write(np.column_stack([values, *cells]))
-    return bool(failed.any())
+    return EXIT_PARTIAL if failed.any() else EXIT_OK
 
 
 def _sweep(cfg: ExperimentConfig):
@@ -100,8 +99,7 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
     try:
         rec = qfi_record(cfg.model, theta, times, evolve(cfg.model, theta, times, cfg.probe))
     except NumericsError as exc:
-        _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
-        return EXIT_PARTIAL
+        return _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
     ok = np.array([failure is None for failure in rec.failures])
     # Production F, state derivative and closed form, nan where a route is
     # absent: a failing cross-check blanks route_deviation, not the rows; a
@@ -122,8 +120,7 @@ def cmd_qfi(cfg: ExperimentConfig, out_path, log) -> int:
         scale = np.nanmax(abs(routes[:, ok]), axis=0)
         deviation[ok] = np.where(scale == 0.0, 0.0, spread / scale)
     columns = [rec.F, np.sqrt(rec.F), rec.K, rec.I, np.sqrt(rec.I), rec.gap, routes[2], deviation]
-    failed = _write_table(out_path, header, times.tolist(), columns, rec.failures, log, notes)
-    return EXIT_PARTIAL if failed else EXIT_OK
+    return _write_table(out_path, header, times.tolist(), columns, rec.failures, log, notes)
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
@@ -146,7 +143,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
         points = zip(values, np.broadcast_to(probes, (len(values), 2)),
                      np.broadcast_to(times, len(values)))
         for idx, (sweep_value, probe, t) in enumerate(points):
-            p0 = math.nan
+            p0 = np.nan
             try:
                 p0 = outcome_probability(evolve(cfg.model, theta, t, probe).phi_out, A)
                 run = run_trials(cfg.model, t, probe, A, p0, spec.n, spec.trials,
@@ -159,9 +156,9 @@ def cmd_estimate(cfg: ExperimentConfig, out_path, log) -> int:
                         run.mean, bias_pct, run.failed_trials]])
                 write_trials(np.column_stack([np.full(len(run.estimates), sweep_value),
                                               run.solved_trials, run.estimates]))
-            except (AllTrialsFailed, NumericsError) as exc:
+            except NumericsError as exc:
                 log(f"{sweep_name}={sweep_value}: {exc}")
-                write([[sweep_value, p0, math.nan, math.nan, math.nan, math.nan, spec.trials]])
+                write([[sweep_value, p0, np.nan, np.nan, np.nan, np.nan, spec.trials]])
                 partial = True
     return EXIT_PARTIAL if partial else EXIT_OK
 
@@ -185,8 +182,7 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         rec = qfi_record(cfg.model, theta, t, res)
         report = measure.optimality_residual(res.phi_out, rec.f, observable)
     except NumericsError as exc:
-        _write_table(out_path, header, values, np.nan, (exc,) * len(values), log)
-        return EXIT_PARTIAL
+        return _write_table(out_path, header, values, np.nan, (exc,) * len(values), log)
     notes = report.failures
     try:
         # nan where degenerate: flagged, not dropped, as the paper's own
@@ -198,8 +194,8 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
         precision = np.full(len(values), np.nan)
         notes = [note or f"precision_ep: {exc}" for note in notes]
     columns = [report.residual, report.c.real, report.c_imag_fraction, precision, np.sqrt(rec.F)]
-    failed = _write_table(out_path, header, values, columns, rec.failures, log, notes)
-    return EXIT_PARTIAL if failed or any(note is not None for note in notes) else EXIT_OK
+    code = _write_table(out_path, header, values, columns, rec.failures, log, notes)
+    return EXIT_PARTIAL if any(note is not None for note in notes) else code
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
@@ -216,14 +212,12 @@ def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
         Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times)
         direct = evolve(cfg.model, theta, times, cfg.probe)
     except NumericsError as exc:
-        _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
-        return EXIT_PARTIAL
+        return _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
     total = np.sum(np.abs(Psi_t) ** 2, axis=1)
     drift = np.abs(total - total[0]) / total[0]
     fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
     columns = [fidelity, success, drift, np.full(len(times), eta_residual)]
-    _write_table(out_path, header, times.tolist(), columns, (None,) * len(times), log)
-    return EXIT_OK
+    return _write_table(out_path, header, times.tolist(), columns, (None,) * len(times), log)
 
 
 COMMANDS = {
@@ -261,9 +255,9 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             cfg = load_config(args.config)
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
             if args.seed is not None and cfg.estimation is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
                 cfg = replace(cfg, estimation=replace(cfg.estimation, seed=args.seed))
             if args.command == "validate":
                 log(f"{args.config}: ok")

@@ -160,9 +160,10 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket)
     the bracket ties and the first one is taken. Each distinct x/n goes
     through the same steps:
 
-    - scan: the first grid point where |p - x/n| < ROOT_FTOL is the
-      estimate; the first sign change of p - x/n between neighbours is
-      polished; with neither there is no root (NaN);
+    - scan: the first grid point with an event decides. An event is a hit,
+      |p - x/n| < ROOT_FTOL, which is the estimate, or a sign change of
+      p - x/n to the next point, which is polished; with no event there is
+      no root (NaN);
     - polish: secant steps (bisection when they leave the interval)
       alternate with bisection until |p - x/n| < ROOT_FTOL or the interval
       is narrower than ROOT_XTOL. An x/n still open after MAX_ROOT_ITER
@@ -181,15 +182,12 @@ def mle_invert(model: HamiltonianModel, t: float, psi0, A, frequencies, bracket)
 
     vals = p[None, :] - targets[:, None]
     hit = np.abs(vals) < ROOT_FTOL
-    event = hit[:, :-1] | ((vals[:, :-1] < 0) != (vals[:, 1:] < 0))
+    event = hit | np.pad((vals[:, :-1] < 0) != (vals[:, 1:] < 0), ((0, 0), (0, 1)))
     first = np.argmax(event, axis=1)
-    found = event.any(axis=1)
-    roots = np.full(len(targets), np.nan)
-    on_grid = found & hit[np.arange(len(targets)), first]
-    roots[on_grid] = grid[first[on_grid]]
-    roots[~found & hit[:, -1]] = grid[-1]
+    on_grid = hit[np.arange(len(targets)), first]
+    roots = np.where(on_grid, grid[first], np.nan)
 
-    todo = np.flatnonzero(found & ~on_grid)
+    todo = np.flatnonzero(event.any(axis=1) & ~on_grid)
     i = first[todo]
     a, b = grid[i], grid[i + 1]
     fa, fb = vals[todo, i], vals[todo, i + 1]

@@ -193,6 +193,29 @@ def test_claim_heisenberg_coefficient_is_4_cos_alpha():
             assert np.abs(later / closed - 1).max() <= 1e-12, (s, alpha, start)
 
 
+def test_claim_heisenberg_coefficient_for_kappa():
+    # Paper claim 2 for kappa with the probe |0>: with x = sqrt(k) t, the
+    # closed form gives F/t^2 = (1 - sin 2x / (2x))^2 / (k cos^2 x + sin^2 x)^2,
+    # whose mean over one period pi / sqrt(k) tends to the t^2 coefficient
+    # (k + 1) / (2 k^(3/2)) as 1/x0^2 from a start x0. On 4,096 midpoint nodes
+    # of one period, the mean matches that coefficient within 0.6 / x0^2
+    # relative from both qfi_closed_form and qfi_record (measured: at most
+    # 0.44 / x0^2; 8.7e-4 at x0 = 20, 9.4e-6 at 200, 1.1e-7 at 2000), and
+    # qfi_record matches qfi_closed_form at every node within 1e-11 relative
+    # (measured: 3.7e-14 at x0 = 20, 4.6e-12 at 2000).
+    nodes = (np.arange(4096) + 0.5) / 4096
+    for kappa in (0.5, 2.0, 4.0, 9.0):
+        m = kappa_model(kappa)
+        expected = (kappa + 1) / (2 * kappa ** 1.5)
+        for x0 in (20.0, 200.0, 2000.0):
+            times = (x0 + math.pi * nodes) / math.sqrt(kappa)
+            closed = qfi_closed_form(m, kappa, times, KET0)
+            record = qfi_record(m, kappa, times, evolve(m, kappa, times, KET0)).F
+            for F in (closed, record):
+                assert abs((F / times ** 2).mean() / expected - 1) <= 0.6 / x0 ** 2, (kappa, x0)
+            assert np.abs(record / closed - 1).max() <= 1e-11, (kappa, x0)
+
+
 def test_dilation_equivalence():
     start = time.perf_counter()
     for alpha in [0.2, 0.55, 0.9, 1.25]:

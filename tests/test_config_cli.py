@@ -944,10 +944,18 @@ class TestMalformedInput:
         assert (tmp_path / "est.csv").read_text().startswith("t,p0,")
 
     def test_negative_seed_flag(self, tmp_path, capsys):
+        # A negative seed is a config error for every command, whether or not
+        # the config has an estimation section to apply it to.
         cfg = write_config(tmp_path, base_config(estimation=ESTIMATION))
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
                      "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("config error: --seed: ")
+        cfg = write_config(tmp_path, base_config(), name="no_estimation.json")
+        for command, seed in [("validate", "-3"), ("qfi", "-1"), ("dilate", "-1")]:
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out), "--seed", seed]) == 1
+            assert capsys.readouterr().err.startswith("config error: --seed: "), command
+            assert not out.exists(), command
 
     def test_unreadable_config_has_no_empty_field(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 1

@@ -102,23 +102,44 @@ def test_config_converts_values_only_in_its_readers():
     assert [f for f in found if f[0] not in CONFIG_READERS] == []
 
 
+def _cli_users(names):
+    """{name: the top-level statements of cli.py that name it}, each
+    statement known by its function name or by its assignment's target."""
+    path = Path(nhmetro.__file__).parent / "cli.py"
+    users = {name: set() for name in names}
+    for statement in ast.parse(path.read_text(), filename=str(path)).body:
+        label = (statement.targets[0].id if isinstance(statement, ast.Assign)
+                 else getattr(statement, "name", None))
+        for node in ast.walk(statement):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in users:
+                users[name].add(label)
+    return users
+
+
 # Who in cli.py may name `open` and `_csv_rows`: one function opens the
 # output file, and only the shared table writer and the per-point stream of
 # `estimate` write through it.
 TABLE_WRITERS = {"open": {"_csv_rows"}, "_csv_rows": {"_write_table", "cmd_estimate"}}
 
+# Who in cli.py may name EXIT_PARTIAL: the shared table writer turns a failed
+# row into the exit code of every stacked command; besides its definition,
+# only the note rule of `optimal`, the per-point stream of `estimate` and
+# `main`'s closing log line read it.
+EXIT_RULES = {"EXIT_PARTIAL": {"EXIT_PARTIAL", "_write_table", "cmd_optimal", "cmd_estimate",
+                               "main"}}
+
 
 def test_every_table_goes_through_one_writer():
     # A command with a private table writer would have its own row format
     # and its own failed-row rule.
-    path = Path(nhmetro.__file__).parent / "cli.py"
-    users = {name: set() for name in TABLE_WRITERS}
-    for statement in ast.parse(path.read_text(), filename=str(path)).body:
-        for node in ast.walk(statement):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name in users:
-                users[name].add(getattr(statement, "name", None))
-    assert users == TABLE_WRITERS
+    assert _cli_users(TABLE_WRITERS) == TABLE_WRITERS
+
+
+def test_every_stacked_command_exits_through_the_table_writer():
+    # A stacked command with its own failed-row exit rule could disagree
+    # with the rows `_write_table` wrote.
+    assert _cli_users(EXIT_RULES) == EXIT_RULES
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
