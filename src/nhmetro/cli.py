@@ -23,7 +23,8 @@ import numpy as np
 
 from . import dilation, linalg, measure
 from .config import ExperimentConfig, load_config, probe_from_angle
-from .dynamics import check_projector, evolve, outcome_probability
+from .dynamics import (check_projector, evolve, normalized_output, outcome_probability,
+                       phase_failures)
 from .errors import (ConfigError, NotHermitian, NotProjector, NumericsError, UnsupportedFamily,
                      UnsupportedProbe)
 from .estimate import run_trials
@@ -199,25 +200,29 @@ def cmd_optimal(cfg: ExperimentConfig, out_path, log) -> int:
 
 
 def cmd_dilate(cfg: ExperimentConfig, out_path, log) -> int:
-    """One dilated and one direct evolution over the whole time grid. When
-    either stacked call raises, every row is a nan row with its error logged."""
+    """One dilated and one closed-form direct evolution over the times of the
+    grid that pass `phase_failures`; a time that fails it is a nan row with
+    its error logged, and so is every row when either stacked call raises.
+    norm_drift is relative to the first row that passed."""
     if cfg.probe_sweep is not None:
         raise ConfigError("probe_sweep", "dilate sweeps time only")
-    theta = cfg.model.true_value
     times = cfg.time_grid.linspace()
-    sys_ = dilation.build_dilation(hamiltonian(cfg.model, theta))
+    H = hamiltonian(cfg.model, cfg.model.true_value)
+    sys_ = dilation.build_dilation(H)
     eta_residual = np.linalg.norm(sys_.eta @ sys_.H - linalg.dagger(sys_.H) @ sys_.eta)
     header = ["t", "fidelity", "success_prob", "norm_drift", "eta_residual"]
+    failures = phase_failures(H, times)
+    ok = np.array([failure is None for failure in failures])
     try:
-        Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times)
-        direct = evolve(cfg.model, theta, times, cfg.probe)
+        Psi_t, recovered, success = dilation.evolve_dilated(sys_, cfg.probe, times[ok])
+        direct = normalized_output(linalg.propagator(H, times[ok]) @ cfg.probe)
     except NumericsError as exc:
         return _write_table(out_path, header, times.tolist(), np.nan, (exc,) * len(times), log)
     total = np.sum(np.abs(Psi_t) ** 2, axis=1)
-    drift = np.abs(total - total[0]) / total[0]
-    fidelity = np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1))
-    columns = [fidelity, success, drift, np.full(len(times), eta_residual)]
-    return _write_table(out_path, header, times.tolist(), columns, (None,) * len(times), log)
+    columns = np.full((4, len(times)), eta_residual)
+    columns[:3, ok] = [np.abs(np.sum(recovered.conj() * direct.phi_out, axis=1)), success,
+                       np.abs(total - total[:1]) / total[:1]]
+    return _write_table(out_path, header, times.tolist(), columns, failures, log)
 
 
 COMMANDS = {

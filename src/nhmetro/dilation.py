@@ -55,13 +55,11 @@ def _metric(H):
     if H.shape != (2, 2):
         raise ValueError("the metric is built for 2x2 Hamiltonians only")
     tol = REAL_SPECTRUM_TOL * max(1.0, float(np.linalg.norm(H)))
-    mean = 0.5 * (H[0, 0] + H[1, 1])
+    mean, B, w2 = linalg.traceless_split(H)
     if abs(mean.imag) > tol:
         raise NoPositiveSolution("Hamiltonian spectrum is not real (broken regime)")
-    B = H - mean * np.eye(2)
     if not B.any():
         return np.eye(2, dtype=complex), 0.5
-    w2 = B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0]
     if abs(w2) <= EP_TOL * float(np.linalg.norm(B)) ** 2:
         raise NoPositiveSolution("Hamiltonian is defective (exceptional point)")
     if w2.real < 0 or abs(cmath.sqrt(w2).imag) > tol:

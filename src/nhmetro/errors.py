@@ -30,6 +30,10 @@ class Unconverged(NumericsError):
     """An iterative method reached its cap without meeting its tolerance."""
 
 
+class IllConditioned(NumericsError):
+    """The rounding error bound of a result exceeds its tolerance."""
+
+
 class OutOfRange(NumericsError):
     """Parameter outside the model family's admissible range."""
 

@@ -87,8 +87,8 @@ def generator_closed_form(model: HamiltonianModel, theta: float, t) -> np.ndarra
     """
     H = hamiltonian(model, theta)
     dH = d_hamiltonian(model, theta)
-    B = H - 0.5 * (H[0, 0] + H[1, 1]) * np.eye(2)
-    w = cmath.sqrt(B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0])
+    _, B, w2 = linalg.traceless_split(H)
+    w = cmath.sqrt(w2)
     times = np.asarray(t, dtype=float)
     coeffs = np.array([_coefficients(w, tk) for tk in times.ravel().tolist()], dtype=complex)
     a, ib, d = coeffs.T.reshape((3,) + times.shape + (1, 1))

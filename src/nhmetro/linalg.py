@@ -12,6 +12,10 @@ from .errors import NonFinite
 
 TAYLOR_ORDER = 13
 SCALING_TARGET_NORM = 0.5
+# Below this |w^2 t^2|, cos(wt) and sin(wt)/(wt) are summed from their series
+# to the (w^2 t^2)^2 term, so w = 0 (a nilpotent B, or H = cI) needs no
+# branch; the first dropped terms are below 1e-15/720 < 1.4e-18.
+PROPAGATOR_SERIES_THRESHOLD = 1e-5
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -102,6 +106,38 @@ def mat_exp(a) -> np.ndarray:
             total = squarings[todo][np.argmin(finite)]
             raise NonFinite(f"overflow in mat_exp at squaring stage {stage + 1}/{total}")
     return out
+
+
+def traceless_split(H: np.ndarray) -> tuple:
+    """(c, B, w^2) of a 2x2 H = cI + B with B traceless, so B^2 = w^2 I."""
+    c = 0.5 * (H[0, 0] + H[1, 1])
+    B = H - c * np.eye(2)
+    return c, B, B[0, 0] * B[0, 0] + B[0, 1] * B[1, 0]
+
+
+def propagator(H, t) -> np.ndarray:
+    """exp(-i t H) of a 2x2 H for one t (2, 2) or each t of a 1-D array (N, 2, 2).
+
+    With H = cI + B and B^2 = w^2 I, exp(-i t H) = e^(-ict) (C I - i S B) with
+    C = cos(wt) and S = sin(wt)/w (Bernstein & So, IEEE TAC 38, 1228 (1993)).
+    C and S are entire in w^2, and below PROPAGATOR_SERIES_THRESHOLD in
+    |w^2 t^2| they are summed from their series: the exceptional point
+    (w = 0) and the broken regime (imaginary w) need no branch. Every t gets
+    the bits of a single call.
+    """
+    H = as_matrix(H)
+    if H.shape != (2, 2):
+        raise ValueError("the closed-form propagator is for 2x2 Hamiltonians only")
+    c, B, w2 = traceless_split(H)
+    times = np.asarray(t, dtype=float)
+    u = -w2 * times * times
+    series = abs(u) < PROPAGATOR_SERIES_THRESHOLD
+    w = np.sqrt(complex(w2))
+    # w is 0 only where every t takes the series: the division never uses it
+    C = np.where(series, 1 + u * (1 / 2 + u / 24), np.cos(w * times))
+    S = np.where(series, times * (1 + u * (1 / 6 + u / 120)), np.sin(w * times) / (w or 1.0))
+    phase = np.exp(-1j * c * times)[..., None, None]
+    return phase * (C[..., None, None] * np.eye(2) - 1j * S[..., None, None] * B)
 
 
 def basis_state(index: int, dim: int = 2) -> np.ndarray:

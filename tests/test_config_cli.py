@@ -353,7 +353,7 @@ def test_overflowing_generator_is_a_failed_row(case, tmp_path, capsys):
 @pytest.mark.parametrize("command, module, name", [
     ("qfi", cli, "qfi_record"), ("qfi", cli, "evolve"),
     ("optimal", cli, "evolve"), ("optimal", measure, "evolve"),
-    ("dilate", cli, "evolve"), ("dilate", dilation, "evolve_dilated")])
+    ("dilate", linalg, "propagator"), ("dilate", dilation, "evolve_dilated")])
 def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypatch, capsys):
     # a typed error from a stacked call fails all rows of the config, one
     # log line each, with exit 3; the two evolutions of precision_ep (in
@@ -379,6 +379,41 @@ def test_failed_stack_fails_every_row(command, module, name, tmp_path, monkeypat
     assert [line.split(",") for line in out.read_text().splitlines()] == [header, *expected]
 
 
+@pytest.mark.parametrize("t_bad", [1e16, 1e300])
+def test_dilate_fails_only_the_row_past_the_phase_error_bound(t_bad, tmp_path, capsys):
+    # t ||H||_F eps is 3.85 at t = 1e16, where the unchecked routes wrote
+    # fidelity 0.049 with exit 0, and 3.85e284 at t = 1e300, where the
+    # exponential of the whole grid overflowed; the t = 1 row keeps the
+    # bytes of a grid without the bad time
+    doc = shipped_config("dilate_pt.json")
+    rows = {}
+    for name, grid in (("one", {"start": 1.0, "stop": 1.0, "steps": 1}),
+                       ("mixed", {"start": 1.0, "stop": t_bad, "steps": 2})):
+        doc["time_grid"] = grid
+        out = tmp_path / f"{name}.csv"
+        rows[name] = (main(["dilate", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                            "--out", str(out)]), out.read_text().splitlines())
+    assert rows["one"][0] == 0 and rows["mixed"][0] == 3
+    assert rows["mixed"][1][:2] == rows["one"][1]
+    assert rows["mixed"][1][2] == f"{t_bad:.12g}" + ",nan" * 4
+    err = capsys.readouterr().err
+    assert f"t={t_bad}: the phase error bound t ||H||_F eps = " in err
+    assert err.count("exceeds 1e-10\n") == 1
+
+
+def test_dilate_row_past_the_bound_reaches_neither_route(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((cli.dilation, "evolve_dilated"), (cli.linalg, "propagator")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real: calls.append(args[-1]) or real(*args))
+    doc = base_config(time_grid={"start": 0.0, "stop": 1e300, "steps": 3})
+    assert main(["dilate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "dil.csv"), "--quiet"]) == 3
+    # 5e299 and 1e300 fail the bound: both routes see t = 0 only
+    assert [times.tolist() for times in calls] == [[0.0]] * 2
+
+
 # every typed failure prints alone: no NumPy warning goes ahead of it, and
 # none turns into an error when warnings are errors
 SILENT_OVERFLOWS = {
@@ -386,6 +421,10 @@ SILENT_OVERFLOWS = {
         "family": "pt", "params": {"s": 1e307, "alpha": math.pi / 4},
         "estimated_param": "s"}}, 2,
         ["numerical failure: dilation Hamiltonian contains NaN/Inf entries"]),
+    "dilate_t_1e300": ("dilate", "dilate_pt.json", {"time_grid": {"start": 1.0, "stop": 1e300,
+                                                                 "steps": 2}}, 3,
+                       ["t=1e+300: the phase error bound t ||H||_F eps = 3.85e+284 exceeds "
+                        "1e-10", "completed with failed rows (exit 3)"]),
     "qfi_t_1e300": ("qfi", "qfi_pt_s.json", {"time_grid": {"start": 1.0, "stop": 1e300,
                                                            "steps": 2}}, 3,
                     ["t=1.0: the Frobenius norm of a finite mat_exp input overflows",
@@ -728,14 +767,15 @@ class TestCliOptimalAndDilate:
 
     def test_dilate_evolves_the_grid_in_one_call(self, tmp_path, monkeypatch):
         calls = []
-        for module, name in ((cli.dilation, "evolve_dilated"), (cli, "evolve")):
+        for module, name in ((cli.dilation, "evolve_dilated"), (cli.linalg, "propagator")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, real=real: calls.append(args) or real(*args))
         doc = base_config(time_grid={"start": 0.0, "stop": 4.0, "steps": 10})
         assert main(["dilate", "--config", write_config(tmp_path, doc),
                      "--out", str(tmp_path / "dil.csv"), "--quiet"]) == 0
-        assert len(calls) == 2 and all(len(args[2]) == 10 for args in calls)
+        # the times are the last argument of both routes
+        assert len(calls) == 2 and all(len(args[-1]) == 10 for args in calls)
 
 
 class TestCliErrors:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhmetro import linalg
+from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.errors import NonFinite
+from nhmetro.models import hamiltonian
 
-from reference import squarings_norm
+from conftest import real_spectrum_hamiltonians
+from reference import closed_form_U, squarings_norm
 
 
 class TestMatExp:
@@ -126,3 +129,84 @@ def scaled_to_norm(m, norm):
             return scale * m
         scale = np.nextafter(scale, 0.0 if got > norm else np.inf)
     return None
+
+
+EPS = np.finfo(float).eps
+# Largest error of the propagator against either reference over 9,000 random
+# catalog points, in units of the bound below: 10.5 (against mat_exp, pt
+# next to its EP).
+PROPAGATOR_ERROR_UNITS = 100
+
+
+def propagator_error_bound(H, t) -> float:
+    """eps max(1, t ||H||_F) max(1, ||B||_F / |w|): the phase error grows
+    with t, and next to the EP (w -> 0) with the condition of exp(-itH)."""
+    _, B, w2 = linalg.traceless_split(H)
+    w = abs(cmath.sqrt(w2))
+    near_ep = np.linalg.norm(B) / w if w else 1.0
+    return EPS * max(1.0, t * np.linalg.norm(H)) * max(1.0, near_ep)
+
+
+@st.composite
+def unbroken_points(draw):
+    """(model, theta) of a catalog family in its unbroken regime; half of
+    them within 1e-6..1e-1 of the family's EP (pt: alpha = pi/2, ep_demo:
+    alpha = pi/4)."""
+    family = draw(st.sampled_from(["pt", "kappa", "ep_demo"]))
+    near_ep = draw(st.booleans())
+    distance = 10 ** draw(st.floats(-6.0, -1.0))
+    if family == "pt":
+        alpha = math.pi / 2 - distance if near_ep else draw(st.floats(0.01, 1.5))
+        return pt_model(draw(st.floats(0.1, 2.0)), alpha, "alpha"), alpha
+    if family == "kappa":
+        kappa = draw(st.floats(0.05, 5.0).filter(lambda k: k != 1.0))
+        return kappa_model(kappa), kappa
+    alpha = math.pi / 4 - distance if near_ep else draw(st.floats(0.01, 0.78))
+    return ep_demo_model(alpha), alpha
+
+
+class TestPropagator:
+    @settings(max_examples=150, deadline=None)
+    @given(point=unbroken_points(), t=st.floats(0.0, 50.0))
+    def test_agrees_with_mat_exp_and_the_catalog_closed_form(self, point, t):
+        model, theta = point
+        H = hamiltonian(model, theta)
+        U = linalg.propagator(H, t)
+        references = [linalg.mat_exp(-1j * t * H)]
+        if model.family != "ep_demo":
+            references.append(closed_form_U(model, theta, t))
+        bound = PROPAGATOR_ERROR_UNITS * propagator_error_bound(H, t)
+        for ref in references:
+            assert np.linalg.norm(U - ref) <= bound * np.linalg.norm(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(H=real_spectrum_hamiltonians(), t=st.floats(0.0, 50.0))
+    def test_agrees_with_mat_exp_on_random_real_spectra(self, H, t):
+        U, ref = linalg.propagator(H, t), linalg.mat_exp(-1j * t * H)
+        bound = PROPAGATOR_ERROR_UNITS * propagator_error_bound(H, t)
+        assert np.linalg.norm(U - ref) <= bound * np.linalg.norm(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=unbroken_points(),
+           times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30))
+    def test_stack_matches_single_calls(self, point, times):
+        H = hamiltonian(*point)
+        stacked = linalg.propagator(H, np.array(times))
+        assert stacked.shape == (len(times), 2, 2)
+        for got, t in zip(stacked, times):
+            assert got.tobytes() == linalg.propagator(H, t).tobytes()
+
+    @pytest.mark.parametrize("H", [np.zeros((2, 2)), [[0.3, 1.0], [0.0, 0.3]], 2.5 * np.eye(2)],
+                             ids=["zero", "nilpotent", "scalar"])
+    def test_w_zero_takes_the_series(self, H):
+        # H = cI + B with B^2 = 0: exp(-itH) = e^(-ict) (I - i t B), exactly
+        # for these entries
+        H = np.asarray(H, dtype=complex)
+        c, B, _ = linalg.traceless_split(H)
+        for t in (0.0, 1.0, 7.0):
+            expected = np.exp(-1j * c * t) * (np.eye(2) - 1j * t * B)
+            assert np.array_equal(linalg.propagator(H, t), expected)
+
+    def test_not_2x2_raises(self):
+        with pytest.raises(ValueError, match="2x2"):
+            linalg.propagator(np.eye(4), 1.0)

@@ -1,12 +1,13 @@
-"""The exact derivative route, both QFI routes and the spectral dilated
-evolution against 40-digit references.
+"""The closed-form propagator, the exact derivative route, both QFI routes
+and the spectral dilated evolution against 40-digit references.
 
 `fisher.output_derivative` takes U = exp(-itH) and dU/dtheta from one
 float64 exponential of the 4x4 block [[H, dH], [0, H]]. The reference
 exponentiates the same block, built from the same float64 H and dH, with
 `mpmath.expm` at 40 significant digits, so the comparison measures the
 kernel and not the model's rounding. The QFI at small t is compared with
-the catalog closed forms evaluated at 40 digits. The dilated evolution is
+the catalog closed forms evaluated at 40 digits. `linalg.propagator` is
+compared with `mpmath.expm(-i t H)` of the same float64 H. The dilated evolution is
 compared with `mpmath.expm(-i t H_tot)` of the same float64 H_tot. mpmath is
 a test dependency only.
 """
@@ -17,7 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nhmetro import ep_demo_model, kappa_model, linalg, pt_model
+from nhmetro import affine_model, ep_demo_model, kappa_model, linalg, pt_model
 from nhmetro.dilation import build_dilation, evolve_dilated
 from nhmetro.dynamics import evolve
 from nhmetro.fisher import (output_derivative, qfi_closed_form, qfi_record,
@@ -40,6 +41,10 @@ SMALL_T_REL_TOL = 1e-13
 # success_prob is 8.4e-4 (a Taylor exponential of the same H_tot: 9.2e-15
 # and 1.5e-15).
 DILATION_REL_TOL = 1e-13
+# Largest relative error of the closed-form propagator over these points:
+# 6.0e-15 away from the EP, 2.9e-14 next to it (the Taylor mat_exp of the
+# same H: 2.3e-14 and 2.0e-13).
+PROPAGATOR_REL_TOL = 1e-13
 TIMES = (0.0, 0.7, 5.0, 20.0, 50.0)
 SMALL_TIMES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 EP_DISTANCES = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
@@ -92,6 +97,37 @@ def test_output_derivative_matches_oracle(regime):
         U_ref, dU_ref = oracle(model, theta, t)
         assert rel_err(U, U_ref) <= U_REL_TOL, (theta, t)
         assert rel_err(dU, dU_ref) <= U_REL_TOL, (theta, t)
+
+
+def expm_oracle(H, t):
+    """exp(-i t H) at 40 digits, of the same float64 H."""
+    with mpmath.workdps(ORACLE_DPS):
+        M = mpmath.matrix([[mpmath.mpc(x) for x in row] for row in H])
+        E = mpmath.expm(-1j * mpmath.mpf(t) * M)
+        return np.array([[complex(E[i, j]) for j in range(2)] for i in range(2)])
+
+
+# H = cI + B with B nilpotent (w = 0), and the broken regime H = sigma_x +
+# 1.5i sigma_z (w^2 = -1.25, so |U| grows as e^(1.1 t))
+SPECIAL_HAMILTONIANS = {
+    "nilpotent": np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex),
+    "broken": hamiltonian(affine_model(linalg.SIGMA_X, 1j * linalg.SIGMA_Z, 1.5), 1.5),
+}
+
+
+@pytest.mark.parametrize("regime", ["pt_s", "pt_alpha", "kappa", "ep_demo", "ep_demo_near_ep",
+                                    *SPECIAL_HAMILTONIANS])
+def test_propagator_matches_oracle(regime):
+    if regime in SPECIAL_HAMILTONIANS:
+        points = [(SPECIAL_HAMILTONIANS[regime], t) for t in TIMES]
+    else:
+        points = [(hamiltonian(model, theta), t) for model, theta, t in oracle_points(regime)]
+    for H, t in points:
+        U = linalg.propagator(H, t)
+        if t == 0:
+            assert np.array_equal(U, np.eye(2))
+            continue
+        assert rel_err(U, expm_oracle(H, t)) <= PROPAGATOR_REL_TOL, (H, t)
 
 
 @pytest.mark.parametrize("family", ["pt_s", "pt_alpha", "kappa"])

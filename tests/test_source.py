@@ -208,3 +208,27 @@ def test_no_public_name_is_read_only_by_tests():
     # Code that only the tests read belongs in tests/reference.py.
     unread = _unread_public_names(("src", "perfbench"))
     assert [(where, name) for where, name in unread if name not in LIBRARY_API] == []
+
+
+def _top_level_function(module, name):
+    path = Path(nhmetro.__file__).parent / f"{module}.py"
+    return next(node for node in ast.parse(path.read_text(), filename=str(path)).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_propagator_is_loop_free_closed_form_code():
+    # exp(-itH) is cos, sin and exp over the whole array of t: a loop over
+    # t, an iterative kernel or an eigensolver would undo the closed form
+    propagator = _top_level_function("linalg", "propagator")
+    loops = [type(node).__name__ for node in ast.walk(propagator)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    names = _identifiers(propagator)
+    assert loops == []
+    assert {name for name in names
+            if name in {"mat_exp", "_taylor", "expm"} or name.startswith("eig")} == set()
+
+
+def test_dilate_checks_against_the_closed_form_propagator():
+    # the direct route of `dilate` is the propagator, not `evolve`'s mat_exp
+    names = _identifiers(_top_level_function("cli", "cmd_dilate"))
+    assert "evolve" not in names and "propagator" in names
